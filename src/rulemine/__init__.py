@@ -40,7 +40,6 @@ from .miner import (
     MiningConfig,
     candidate_gen,
     count_candidates,
-    is_frequent,
     meets_threshold,
     min_count,
     mine_frequent,
@@ -114,7 +113,6 @@ __all__ = [
     "export_transactions",
     "generate_rules",
     "generic_schema",
-    "is_frequent",
     "load_csv",
     "load_schema_file",
     "load_transactions",

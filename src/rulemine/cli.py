@@ -34,11 +34,14 @@ from .ingest import SCHEMA_PRESETS, load_csv, resolve_schema
 from .miner import MiningConfig, mine_frequent, write_itemsets
 from .predictor import predict
 from .rules import (
+    CSV_COLUMNS,
+    CSV_COLUMNS_EXTENDED,
     ORDERINGS,
     RuleConfig,
     generate_rules,
     read_rules_json,
     render_rule,
+    rule_row,
     write_rules_csv,
     write_rules_json,
 )
@@ -107,7 +110,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="suppress rules with an empty left-hand side",
     )
-    mine.add_argument("--out-dir", default="out")
+    mine.add_argument("--out-dir", default=None, help="output directory (default: out)")
     mine.add_argument("--format", choices=("csv", "json"), default="csv")
     mine.add_argument("--precision", type=int, default=4)
     mine.add_argument(
@@ -158,6 +161,8 @@ def _validate_mine_args(args: argparse.Namespace) -> None:
         raise ConfigError("--workers must be a positive integer")
     if args.precision < 0:
         raise ConfigError("--precision must be non-negative")
+    if len(args.separator) != 1:
+        raise ConfigError("--separator must be a single character")
     if not args.input:
         raise ConfigError("--input is required")
 
@@ -168,7 +173,7 @@ def cmd_mine(args: argparse.Namespace) -> int:
     _validate_mine_args(args)
     schema = resolve_schema(args.schema)
 
-    out_dir = Path(args.out_dir)
+    out_dir = Path("out" if args.out_dir is None else args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
     stats: dict = {}
@@ -201,10 +206,9 @@ def cmd_mine(args: argparse.Namespace) -> int:
         rules, db.catalog, rules_csv_path, precision=args.precision
     )
     if rules_json_path is not None:
-        schema_used = schema if schema is not None else None
         sources = (
-            {label: source for source, label in schema_used.columns}
-            if schema_used is not None
+            {label: source for source, label in schema.columns}
+            if schema is not None
             else {}
         )
         write_rules_json(
@@ -288,38 +292,10 @@ def _args_from_manifest(args: argparse.Namespace) -> argparse.Namespace:
     replay.format = recorded["format"]
     replay.precision = recorded["precision"]
     replay.no_empty_lhs = not recorded.get("include_empty_lhs", True)
-    if args.out_dir == "out":  # not overridden: reuse the recorded directory
+    if args.out_dir is None:  # not overridden: reuse the recorded directory
         replay.out_dir = recorded["out_dir"]
     replay.manifest = None
     return replay
-
-
-def _report_rows_from_json(path: str, base_layout: bool, precision: int):
-    document = read_rules_json(path)
-    catalog = document.catalog
-    header = [
-        "rule", "LHS", "RHS", "support", "confidence", "coverage", "lift",
-        "count",
-    ]
-    if not base_layout:
-        header += ["conviction", "leverage"]
-    rows = []
-    for position, rule in enumerate(document.rules, start=1):
-        row = [
-            str(position),
-            "{" + ",".join(catalog.render(i) for i in rule.lhs.items) + "}",
-            "{" + ",".join(catalog.render(i) for i in rule.rhs.items) + "}",
-            f"{rule.support:.{precision}f}",
-            f"{rule.confidence:.{precision}f}",
-            f"{rule.coverage:.{precision}f}",
-            f"{rule.lift:.{precision}f}",
-            str(rule.count),
-        ]
-        if not base_layout:
-            row.append(f"{rule.conviction:.{precision}f}")
-            row.append(f"{rule.leverage:.{precision}f}")
-        rows.append(row)
-    return header, rows
 
 
 def _report_rows_from_csv(path: str, precision: int):
@@ -349,9 +325,13 @@ def cmd_report(args: argparse.Namespace) -> int:
         raise ConfigError("--precision must be non-negative")
     path = str(args.input)
     if path.endswith(".json"):
-        header, rows = _report_rows_from_json(
-            path, args.base_layout, args.precision
-        )
+        document = read_rules_json(path)
+        extended = not args.base_layout
+        header = CSV_COLUMNS_EXTENDED if extended else CSV_COLUMNS
+        rows = [
+            rule_row(position, rule, document.catalog, args.precision, extended)
+            for position, rule in enumerate(document.rules[: args.top], start=1)
+        ]
     else:
         header, rows = _report_rows_from_csv(path, args.precision)
     rows = rows[: args.top]

@@ -7,9 +7,10 @@ k-subset must itself be frequent); candidates are counted exactly
 against the vertical bitmaps and filtered. Levels stay in lexicographic
 item-id order throughout, so output order is deterministic.
 
-Frequency comparisons happen in exactly one place, meets_threshold,
-shared with the rule generator and the brute-force oracle: an itemset is
-frequent iff count >= ceil(min_support * total - EPS). The subtraction
+The threshold formula lives in exactly one place, min_count, which
+meets_threshold, the rule generator and the brute-force oracle all go
+through: an itemset is frequent iff count >= ceil(min_support * total -
+EPS). The subtraction
 keeps exactly-representable thresholds exact when the product picks up
 float noise (0.1 * 12433 = 1243.3000000000002 must still mean 1244, not
 1245, and 1.0 * total must mean total).
@@ -32,18 +33,14 @@ EPS = 1e-9
 PARALLEL_MIN_CANDIDATES = 32
 
 
-def meets_threshold(count: int, base: int, threshold: float) -> bool:
-    """True iff count/base >= threshold, up to the shared epsilon."""
-    return count >= math.ceil(threshold * base - EPS)
-
-
 def min_count(min_support: float, total: int) -> int:
     """Smallest transaction count that clears min_support."""
     return math.ceil(min_support * total - EPS)
 
 
-def is_frequent(count: int, total: int, min_support: float) -> bool:
-    return meets_threshold(count, total, min_support)
+def meets_threshold(count: int, base: int, threshold: float) -> bool:
+    """True iff count/base >= threshold, up to the shared epsilon."""
+    return count >= min_count(threshold, base)
 
 
 @dataclass(frozen=True)
@@ -106,11 +103,6 @@ class FrequentSets:
         for itemset in self:
             table[itemset.items] = itemset.count  # type: ignore[assignment]
         return table
-
-    def support(self, itemset: Itemset) -> float:
-        if itemset.count is None:
-            raise ConfigError("itemset has no count")
-        return itemset.count / self.total
 
 
 def candidate_gen(level_k: Sequence[Itemset]) -> list[Itemset]:

@@ -2,7 +2,10 @@
 
 The oracle enumerates every itemset over the catalog (no joins, no
 pruning, no early termination) and counts each one by a horizontal scan
-of the raw transactions, so it shares no mining logic with the engine.
+of the transactions, so it shares no mining logic with the engine. The
+database stores only bitmaps; the rows it scans are unpacked from them
+(`TransactionDatabase.transactions`), and a property test pins those
+rows to the raw input rows.
 The frequency comparison and the metric formulas are deliberately the
 same single-source functions the engine uses; those are the contract,
 not the thing under test. Enumeration is capped at 24 catalog items to

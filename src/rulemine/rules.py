@@ -25,7 +25,7 @@ import os
 from dataclasses import dataclass
 from typing import Callable, Iterable, NamedTuple, Sequence
 
-from .errors import ConfigError, FrequentSetError, MetricError
+from .errors import ConfigError, FrequentSetError, IngestError, MetricError
 from .miner import FrequentSets, Itemset, meets_threshold
 from .txdb import ItemCatalog, ItemId
 
@@ -233,6 +233,31 @@ def _fmt(value: float, precision: int) -> str:
     return f"{value:.{precision}f}"  # math.inf renders as the token "inf"
 
 
+def rule_row(
+    position: int,
+    rule: AssociationRule,
+    catalog: ItemCatalog,
+    precision: int,
+    extended: bool,
+) -> list[str]:
+    """One rule as the cells of a rules table row (CSV_COLUMNS, plus
+    conviction and leverage when extended)."""
+    row = [
+        str(position),
+        render_side(rule.lhs.items, catalog),
+        render_side(rule.rhs.items, catalog),
+        _fmt(rule.support, precision),
+        _fmt(rule.confidence, precision),
+        _fmt(rule.coverage, precision),
+        _fmt(rule.lift, precision),
+        str(rule.count),
+    ]
+    if extended:
+        row.append(_fmt(rule.conviction, precision))
+        row.append(_fmt(rule.leverage, precision))
+    return row
+
+
 def write_rules_csv(
     rules: Sequence[AssociationRule],
     catalog: ItemCatalog,
@@ -249,20 +274,7 @@ def write_rules_csv(
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(CSV_COLUMNS_EXTENDED if extended else CSV_COLUMNS)
         for position, rule in enumerate(rules, start=1):
-            row = [
-                str(position),
-                render_side(rule.lhs.items, catalog),
-                render_side(rule.rhs.items, catalog),
-                _fmt(rule.support, precision),
-                _fmt(rule.confidence, precision),
-                _fmt(rule.coverage, precision),
-                _fmt(rule.lift, precision),
-                str(rule.count),
-            ]
-            if extended:
-                row.append(_fmt(rule.conviction, precision))
-                row.append(_fmt(rule.leverage, precision))
-            writer.writerow(row)
+            writer.writerow(rule_row(position, rule, catalog, precision, extended))
 
 
 def _conviction_to_json(value: float) -> float | str:
@@ -325,30 +337,40 @@ def write_rules_json(
 
 
 def read_rules_json(path: str | os.PathLike) -> RuleSetDocument:
+    """Load a write_rules_json file; a file that is not valid JSON or
+    lacks a required key raises IngestError naming the path."""
     with open(path, "r", encoding="utf-8") as handle:
-        document = json.load(handle)
-    entries = []
-    for token in document["catalog"]:
-        column, _, raw = token.rpartition("=")
-        entries.append((column, int(raw)))
-    catalog = ItemCatalog(tuple(entries))
-    rules = tuple(
-        AssociationRule(
-            lhs=Itemset(tuple(r["lhs"]), r["lhs_count"]),
-            rhs=Itemset(tuple(r["rhs"]), r["rhs_count"]),
-            count=r["count"],
-            support=r["support"],
-            confidence=r["confidence"],
-            coverage=r["coverage"],
-            lift=r["lift"],
-            conviction=_conviction_from_json(r["conviction"]),
-            leverage=r["leverage"],
+        try:
+            document = json.load(handle)
+        except json.JSONDecodeError as exc:
+            raise IngestError(f"{path}: not valid JSON: {exc}") from None
+    if not isinstance(document, dict):
+        raise IngestError(f"{path}: rules document must be a JSON object")
+    try:
+        entries = []
+        for token in document["catalog"]:
+            column, _, raw = token.rpartition("=")
+            entries.append((column, int(raw)))
+        rules = tuple(
+            AssociationRule(
+                lhs=Itemset(tuple(r["lhs"]), r["lhs_count"]),
+                rhs=Itemset(tuple(r["rhs"]), r["rhs_count"]),
+                count=r["count"],
+                support=r["support"],
+                confidence=r["confidence"],
+                coverage=r["coverage"],
+                lift=r["lift"],
+                conviction=_conviction_from_json(r["conviction"]),
+                leverage=r["leverage"],
+            )
+            for r in document["rules"]
         )
-        for r in document["rules"]
-    )
+        total = document["total"]
+    except KeyError as exc:
+        raise IngestError(f"{path}: missing key {exc.args[0]!r}") from None
     return RuleSetDocument(
-        catalog=catalog,
-        total=document["total"],
+        catalog=ItemCatalog(tuple(entries)),
+        total=total,
         rules=rules,
         column_sources=dict(document.get("column_sources") or {}),
         mining=dict(document.get("mining") or {}),

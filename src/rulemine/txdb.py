@@ -1,4 +1,4 @@
-"""Transaction database with a vertical bitmap index.
+"""Transaction database stored as a vertical bitmap index.
 
 Key ideas:
 
@@ -7,8 +7,12 @@ Key ideas:
   then ascending value, so ids and every artifact derived from them are
   byte-deterministic for a given input.
 - Each item id owns one bitmap stored as an arbitrary-precision int in
-  which bit i mirrors membership in transactions[i]. Support counting is
-  a chain of ANDs plus one popcount and never rescans the rows.
+  which bit i mirrors membership in row i. The bitmaps are the only
+  stored form of the table: support counting is a chain of ANDs plus one
+  popcount, and the horizontal rows (`transactions`) are unpacked from
+  the bitmaps only when asked for.
+- One private builder packs the bitmaps; build_database (rows) and
+  build_database_from_columns (columns) only adapt their input to it.
 - Databases are frozen after construction. Mining code may share one
   instance across worker processes without copies or locks.
 
@@ -115,9 +119,6 @@ class ItemCatalog:
         except KeyError:
             raise UnknownItemError(f"unknown item {column}={value}") from None
 
-    def get(self, column: str, value: int) -> ItemId | None:
-        return self._index.get((column, value))
-
     def parse(self, token: str) -> ItemId:
         """Map a "column=value" token back to its id."""
         column, eq, raw = token.rpartition("=")
@@ -140,11 +141,6 @@ class ItemCatalog:
             seen.setdefault(column)
         return tuple(seen)
 
-    def items_for_column(self, column: str) -> tuple[ItemId, ...]:
-        return tuple(
-            i for i, (c, _) in enumerate(self.entries) if c == column
-        )
-
     def _entry(self, item_id: ItemId) -> tuple[str, int]:
         if not isinstance(item_id, int) or not 0 <= item_id < len(self.entries):
             raise UnknownItemError(f"unknown item id {item_id!r}")
@@ -153,13 +149,33 @@ class ItemCatalog:
 
 @dataclass(frozen=True)
 class TransactionDatabase:
-    """Immutable horizontal rows plus one bitmap per item."""
+    """Immutable table stored as one bitmap per item.
+
+    tids is range(total) when the tids are the row ordinals and a tuple
+    otherwise, so two databases of the same table compare equal.
+    """
 
     catalog: ItemCatalog
-    transactions: tuple[Transaction, ...]
+    tids: Sequence[int]
     vertical: tuple[int, ...]
     item_counts: tuple[int, ...]
     total: int
+
+    @property
+    def transactions(self) -> tuple[Transaction, ...]:
+        """The horizontal rows, unpacked from the bitmaps on every call.
+
+        Costs O(total * items) time and memory; meant for the oracle and
+        for export, not for mining.
+        """
+        n_bytes = (self.total + 7) // 8
+        packed = b"".join(b.to_bytes(n_bytes, "little") for b in self.vertical)
+        matrix = np.frombuffer(packed, np.uint8).reshape(len(self.vertical), n_bytes)
+        member = np.unpackbits(matrix, axis=1, count=self.total, bitorder="little")
+        return tuple(
+            Transaction(tid, tuple(np.flatnonzero(row).tolist()))
+            for tid, row in zip(self.tids, member.T)
+        )
 
     def support_count(self, itemset: Iterable[ItemId]) -> int:
         """Exact number of transactions containing every item in itemset.
@@ -191,78 +207,93 @@ def _pack_bitmap(flags: np.ndarray) -> int:
     )
 
 
+def _check_tids(tids: Sequence[int]) -> Sequence[int]:
+    """Validate tids and return their canonical form (see TransactionDatabase)."""
+    seen: set[int] = set()
+    for tid in tids:
+        if not isinstance(tid, int) or isinstance(tid, bool) or tid < 0:
+            raise DuplicateTidError(
+                f"tid must be a non-negative int, got {tid!r}"
+            )
+        if tid in seen:
+            raise DuplicateTidError(f"duplicate tid {tid}")
+        seen.add(tid)
+    ordinals = range(len(tids))
+    return ordinals if tuple(tids) == tuple(ordinals) else tuple(tids)
+
+
+def _build(
+    columns: Sequence[tuple[str, np.ndarray, np.ndarray]], tids: Sequence[int]
+) -> TransactionDatabase:
+    """The one builder: (label, row positions, values) per column, in
+    catalog column order. A row may hold several values of one column;
+    a repeated (position, value) pair sets its bit once."""
+    total = len(tids)
+    if total == 0:
+        raise EmptyDatabaseError("cannot build a database from zero rows")
+    entries: list[tuple[str, int]] = []
+    vertical: list[int] = []
+    flags = np.zeros(total, dtype=bool)
+    for label, positions, values in columns:
+        uniq, inverse, counts = np.unique(
+            values, return_inverse=True, return_counts=True
+        )
+        entries.extend((label, int(v)) for v in uniq)
+        grouped = positions[np.argsort(inverse, kind="stable")]
+        for item_positions in np.split(grouped, np.cumsum(counts)[:-1]):
+            flags[item_positions] = True
+            vertical.append(_pack_bitmap(flags))
+            flags[item_positions] = False
+    return TransactionDatabase(
+        catalog=ItemCatalog(tuple(entries)),
+        tids=tids,
+        vertical=tuple(vertical),
+        item_counts=tuple(popcount(bitmap) for bitmap in vertical),
+        total=total,
+    )
+
+
 def build_database(
     rows: Iterable[tuple[int, Iterable[tuple[str, int]]]],
 ) -> TransactionDatabase:
     """Build a database from (tid, [(column, value), ...]) rows.
 
     Tids must be unique non-negative ints but are otherwise free; bit
-    positions follow input order. Within a row, repeated identical pairs
-    collapse (a transaction is a set). Raises DuplicateTidError,
+    positions follow input order. Columns take catalog order from their
+    first appearance in row order. Within a row, repeated identical
+    pairs collapse (a transaction is a set). Raises DuplicateTidError,
     EmptyDatabaseError, or SchemaError on malformed input.
     """
-    staged: list[tuple[int, list[tuple[str, int]]]] = []
-    seen_tids: set[int] = set()
-    column_values: dict[str, set[int]] = {}
-    for tid, row_items in rows:
-        if not isinstance(tid, int) or isinstance(tid, bool) or tid < 0:
-            raise DuplicateTidError(
-                f"tid must be a non-negative int, got {tid!r}"
-            )
-        if tid in seen_tids:
-            raise DuplicateTidError(f"duplicate tid {tid}")
-        seen_tids.add(tid)
-        items = []
+    tids: list[int] = []
+    cells: dict[str, tuple[list[int], list[int]]] = {}
+    for position, (tid, row_items) in enumerate(rows):
+        tids.append(tid)
         for column, value in row_items:
             _check_value(column, value)
-            if column not in column_values:
+            column_cells = cells.get(column)
+            if column_cells is None:
                 _check_label(column)
-                column_values[column] = set()
-            column_values[column].add(value)
-            items.append((column, value))
-        staged.append((tid, items))
-    if not staged:
-        raise EmptyDatabaseError("cannot build a database from zero rows")
-
-    entries: list[tuple[str, int]] = []
-    for column, values in column_values.items():
-        entries.extend((column, value) for value in sorted(values))
-    catalog = ItemCatalog(tuple(entries))
-
-    total = len(staged)
-    positions: list[list[int]] = [[] for _ in entries]
-    transactions = []
-    for pos, (tid, items) in enumerate(staged):
-        ids = sorted({catalog.id_of(c, v) for c, v in items})
-        for item_id in ids:
-            positions[item_id].append(pos)
-        transactions.append(Transaction(tid, tuple(ids)))
-
-    flags = np.zeros(total, dtype=bool)
-    vertical = []
-    for item_positions in positions:
-        flags[item_positions] = True
-        vertical.append(_pack_bitmap(flags))
-        flags[item_positions] = False
-
-    return TransactionDatabase(
-        catalog=catalog,
-        transactions=tuple(transactions),
-        vertical=tuple(vertical),
-        item_counts=tuple(len(p) for p in positions),
-        total=total,
-    )
+                column_cells = cells[column] = ([], [])
+            column_cells[0].append(position)
+            column_cells[1].append(value)
+    columns = []
+    for column, (positions, values) in cells.items():
+        try:
+            array = np.array(values, dtype=np.int64)
+        except OverflowError:  # values beyond int64 stay Python ints
+            array = np.array(values, dtype=object)
+        columns.append((column, np.array(positions, dtype=np.int64), array))
+    return _build(columns, _check_tids(tids))
 
 
 def build_database_from_columns(
     columns: Mapping[str, Sequence[int]] | Iterable[tuple[str, Sequence[int]]],
     tids: Sequence[int] | None = None,
 ) -> TransactionDatabase:
-    """Columnar fast path: equal-length integer columns, no missing cells.
+    """Columnar input: equal-length integer columns, no missing cells.
 
     Produces exactly what build_database would for the row-wise form of
-    the same table, but vectorised; intended for large synthetic or
-    pre-cleaned tables.
+    the same table; intended for large synthetic or pre-cleaned tables.
     """
     pairs = list(columns.items()) if isinstance(columns, Mapping) else list(columns)
     if not pairs:
@@ -287,45 +318,13 @@ def build_database_from_columns(
             )
         arrays.append(arr)
     assert total is not None
-    if total == 0:
-        raise EmptyDatabaseError("cannot build a database from zero rows")
 
     if tids is None:
-        tid_list: Sequence[int] = range(total)
+        checked: Sequence[int] = range(total)
     else:
         tid_list = [int(t) for t in tids]
         if len(tid_list) != total:
             raise SchemaError(f"{len(tid_list)} tids for {total} rows")
-        if any(t < 0 for t in tid_list):
-            raise DuplicateTidError("tids must be non-negative")
-        if len(set(tid_list)) != total:
-            raise DuplicateTidError("duplicate tid in columnar input")
-
-    entries: list[tuple[str, int]] = []
-    vertical: list[int] = []
-    item_counts: list[int] = []
-    id_columns = []
-    for name, arr in zip(names, arrays):
-        uniq, inverse = np.unique(arr, return_inverse=True)
-        offset = len(entries)
-        entries.extend((name, int(v)) for v in uniq)
-        id_columns.append(inverse.astype(np.int64) + offset)
-        for k in range(uniq.size):
-            mask = inverse == k
-            vertical.append(_pack_bitmap(mask))
-            item_counts.append(int(mask.sum()))
-
-    # Catalog ids grow with column position, so each row of the stacked
-    # id matrix is already sorted ascending.
-    id_matrix = np.column_stack(id_columns)
-    transactions = tuple(
-        Transaction(int(tid), tuple(row))
-        for tid, row in zip(tid_list, id_matrix.tolist())
-    )
-    return TransactionDatabase(
-        catalog=ItemCatalog(tuple(entries)),
-        transactions=transactions,
-        vertical=tuple(vertical),
-        item_counts=tuple(item_counts),
-        total=total,
-    )
+        checked = _check_tids(tid_list)
+    positions = np.arange(total)
+    return _build([(name, positions, arr) for name, arr in zip(names, arrays)], checked)

@@ -120,6 +120,23 @@ def test_manifest_replay_reuses_recorded_out_dir(uniform_csv, tmp_path):
     assert (out / "itemsets.csv").is_file()
 
 
+def test_manifest_replay_honours_explicit_default_out_dir(
+    uniform_csv, tmp_path, monkeypatch
+):
+    recorded = tmp_path / "recorded"
+    _mine(uniform_csv, recorded)
+    workdir = tmp_path / "elsewhere"
+    workdir.mkdir()
+    monkeypatch.chdir(workdir)
+    code = cli.main(
+        ["mine", "--manifest", str(recorded / "manifest.json"), "--out-dir", "out"]
+    )
+    assert code == 0
+    assert (workdir / "out" / "itemsets.csv").read_bytes() == (
+        recorded / "itemsets.csv"
+    ).read_bytes()
+
+
 def test_manifest_replay_missing_file(tmp_path):
     code = cli.main(["mine", "--manifest", str(tmp_path / "none.json")])
     assert code == 1
@@ -203,6 +220,12 @@ def test_separator_flag(tmp_path):
     )
     assert code == 0
     assert (out / "rules.csv").read_text(encoding="utf-8").count("\n") == 6
+
+
+def test_multi_character_separator_exits_2(uniform_csv, tmp_path, capsys):
+    code = _mine(uniform_csv, tmp_path / "out", "--separator", ";;")
+    assert code == 2
+    assert "--separator must be a single character" in capsys.readouterr().err
 
 
 def test_max_len_flag(uniform_csv, tmp_path):
@@ -317,6 +340,26 @@ def test_report_top_zero(uniform_csv, tmp_path, capsys):
 
 def test_report_missing_file(tmp_path):
     assert cli.main(["report", "--input", str(tmp_path / "no.csv")]) == 1
+
+
+@pytest.mark.parametrize(
+    "content, message",
+    [
+        ("{not json", "not valid JSON"),
+        ('{"total": 4, "rules": []}', "missing key 'catalog'"),
+        ('{"total": 4, "catalog": ["a=1"]}', "missing key 'rules'"),
+    ],
+)
+def test_malformed_rules_json_exits_1(tmp_path, capsys, content, message):
+    path = tmp_path / "rules.json"
+    path.write_text(content, encoding="utf-8")
+    for argv in (
+        ["report", "--input", str(path)],
+        ["predict", "--input", str(path), "--target", "a"],
+    ):
+        assert cli.main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(path) in err and message in err
 
 
 def test_predict_flow(tmp_path, capsys):

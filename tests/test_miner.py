@@ -13,7 +13,7 @@ from rulemine import (
     build_database,
     candidate_gen,
     count_candidates,
-    is_frequent,
+    meets_threshold,
     min_count,
     mine_frequent,
     write_itemsets,
@@ -32,10 +32,10 @@ def test_min_count_epsilon_rule():
 
 
 def test_is_frequent_boundary():
-    assert is_frequent(1244, 12433, 0.10)
-    assert not is_frequent(1243, 12433, 0.10)
-    assert is_frequent(5, 5, 1.0)
-    assert not is_frequent(4, 5, 1.0)
+    assert meets_threshold(1244, 12433, 0.10)
+    assert not meets_threshold(1243, 12433, 0.10)
+    assert meets_threshold(5, 5, 1.0)
+    assert not meets_threshold(4, 5, 1.0)
 
 
 def test_mining_config_validation():

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from rulemine import (
     MiningConfig,
     RuleConfig,
+    Transaction,
     brute_force_frequent,
     brute_force_rules,
     build_database,
@@ -29,18 +30,33 @@ from rulemine import (
 # rows collide often enough to make itemsets frequent
 _ITEM_POOL = [(f"c{j}", v) for j in range(4) for v in range(3)]
 
-databases = st.lists(
+table_rows = st.lists(
     st.frozensets(st.sampled_from(_ITEM_POOL), max_size=6),
     min_size=1,
     max_size=24,
-).map(
-    lambda rows: build_database(
-        [(tid, sorted(items)) for tid, items in enumerate(rows)]
-    )
 )
+
+
+def _to_database(rows):
+    return build_database([(tid, sorted(items)) for tid, items in enumerate(rows)])
+
+
+databases = table_rows.map(_to_database)
 
 supports = st.sampled_from((0.1, 0.3, 0.5, 0.75, 1.0))
 confidences = st.sampled_from((0.5, 0.8, 1.0))
+
+
+@settings(max_examples=60, deadline=None)
+@given(rows=table_rows)
+def test_derived_transactions_are_the_input_rows(rows):
+    # the oracle scans db.transactions, which the database unpacks from
+    # its bitmaps; pin them to the raw rows
+    db = _to_database(rows)
+    assert db.transactions == tuple(
+        Transaction(tid, tuple(sorted({db.catalog.id_of(c, v) for c, v in items})))
+        for tid, items in enumerate(rows)
+    )
 
 
 @settings(max_examples=60, deadline=None)

@@ -47,6 +47,23 @@ def test_catalog_order_is_column_appearance_then_value():
     assert db.catalog.columns == ("b", "a")
 
 
+def test_column_first_seen_in_a_later_row():
+    db = build_database(
+        [
+            (0, [("b", 3)]),
+            (1, [("a", 2), ("b", 1)]),
+            (2, [("c", 2**70), ("a", 2)]),
+        ]
+    )
+    assert db.catalog.entries == (("b", 1), ("b", 3), ("a", 2), ("c", 2**70))
+    assert db.transactions == (
+        Transaction(0, (1,)),
+        Transaction(1, (0, 2)),
+        Transaction(2, (2, 3)),
+    )
+    assert db.item_counts == (1, 1, 2, 1)
+
+
 def test_duplicate_tid_rejected():
     rows = [(7, [("a", 1)]), (7, [("a", 2)])]
     with pytest.raises(DuplicateTidError, match="7"):
