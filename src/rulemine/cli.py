@@ -308,12 +308,23 @@ def _report_rows_from_csv(path: str, precision: int):
         except StopIteration:
             raise IngestError(f"{path}: empty rule file") from None
         rows = []
-        for record in reader:
-            row = list(record)
+        for row in reader:
+            if len(row) != len(header):
+                raise IngestError(
+                    f"{path}:{reader.line_num}: expected {len(header)} fields, "
+                    f"got {len(row)}"
+                )
             for index, name in enumerate(header):
                 if name in ("support", "confidence", "coverage", "lift",
                             "conviction", "leverage"):
-                    row[index] = f"{float(record[index]):.{precision}f}"
+                    try:
+                        value = float(row[index])
+                    except ValueError:
+                        raise IngestError(
+                            f"{path}:{reader.line_num}: {name} is not a "
+                            f"number: {row[index]!r}"
+                        ) from None
+                    row[index] = f"{value:.{precision}f}"
             rows.append(row)
     return header, rows
 

@@ -19,7 +19,6 @@ float noise (0.1 * 12433 = 1243.3000000000002 must still mean 1244, not
 from __future__ import annotations
 
 import math
-import multiprocessing
 import os
 from dataclasses import dataclass
 from typing import Iterator, Sequence
@@ -28,9 +27,6 @@ from .errors import ConfigError, EmptyDatabaseError
 from .txdb import ItemCatalog, ItemId, TransactionDatabase, popcount
 
 EPS = 1e-9
-
-# Below this many candidates the fork/pickle overhead dwarfs the work.
-PARALLEL_MIN_CANDIDATES = 32
 
 
 def min_count(min_support: float, total: int) -> int:
@@ -129,29 +125,12 @@ def candidate_gen(level_k: Sequence[Itemset]) -> list[Itemset]:
             if second[:-1] != prefix:
                 break  # sorted input keeps equal prefixes contiguous
             joined = first + (second[-1],)
+            # dropping joined[-1] or joined[-2] gives first or second
             if all(
-                joined[:m] + joined[m + 1 :] in present for m in range(k + 1)
+                joined[:m] + joined[m + 1 :] in present for m in range(k - 1)
             ):
                 out.append(Itemset(joined))
     return out
-
-
-def _count_via_bitmaps(vertical: Sequence[int], items: tuple[ItemId, ...]) -> int:
-    bitmap = vertical[items[0]]
-    for item_id in items[1:]:
-        bitmap &= vertical[item_id]
-    return popcount(bitmap)
-
-
-# Shared with forked workers by copy-on-write; set only around a pool's
-# lifetime, in the parent, before fork.
-_FORK_STATE: tuple[Sequence[int], list[tuple[ItemId, ...]]] | None = None
-
-
-def _count_span(span: tuple[int, int]) -> list[int]:
-    assert _FORK_STATE is not None
-    vertical, keys = _FORK_STATE
-    return [_count_via_bitmaps(vertical, keys[i]) for i in range(*span)]
 
 
 def count_candidates(
@@ -161,48 +140,37 @@ def count_candidates(
 ) -> list[Itemset]:
     """Annotate each candidate with its exact count, preserving order.
 
-    With workers > 1 the candidate list is split into index spans that
-    fork-based workers count independently; the merge concatenates spans
-    in input order, so the result is identical to the serial one.
+    Consecutive candidates that share all but their last item share one
+    AND of that prefix (an Eclat prefix class), so each candidate costs
+    one more AND and a popcount. The prefix bitmap is rebuilt whenever
+    the prefix changes, which keeps the counts exact for any order and
+    any mix of sizes. workers is accepted for old callers and ignored.
     """
-    keys = [c.items for c in candidates]
-    if any(not key for key in keys):
-        raise ConfigError("cannot count the empty itemset as a candidate")
-    counts: list[int]
-    if workers > 1 and len(keys) >= PARALLEL_MIN_CANDIDATES:
-        counts = _count_parallel(db, keys, workers)
-    else:
-        counts = [_count_via_bitmaps(db.vertical, key) for key in keys]
-    return [Itemset(key, count) for key, count in zip(keys, counts)]
-
-
-def _count_parallel(
-    db: TransactionDatabase, keys: list[tuple[ItemId, ...]], workers: int
-) -> list[int]:
-    global _FORK_STATE
-    try:
-        ctx = multiprocessing.get_context("fork")
-    except ValueError:  # pragma: no cover - platform dependent
-        return [_count_via_bitmaps(db.vertical, key) for key in keys]
-    spans = _spans(len(keys), workers * 4)
-    _FORK_STATE = (db.vertical, keys)
-    try:
-        with ctx.Pool(processes=workers) as pool:
-            parts = pool.map(_count_span, spans)
-    finally:
-        _FORK_STATE = None
-    return [count for part in parts for count in part]
-
-
-def _spans(n: int, pieces: int) -> list[tuple[int, int]]:
-    size = max(1, -(-n // pieces))
-    return [(start, min(start + size, n)) for start in range(0, n, size)]
+    vertical = db.vertical
+    counted: list[Itemset] = []
+    prefix: tuple[ItemId, ...] | None = None
+    prefix_bitmap = -1
+    for candidate in candidates:
+        items = candidate.items
+        if not items:
+            raise ConfigError("cannot count the empty itemset as a candidate")
+        if items[:-1] != prefix:
+            prefix = items[:-1]
+            prefix_bitmap = -1  # all rows
+            for item_id in prefix:
+                prefix_bitmap &= vertical[item_id]
+        counted.append(
+            Itemset(items, popcount(prefix_bitmap & vertical[items[-1]]))
+        )
+    return counted
 
 
 def mine_frequent(
     db: TransactionDatabase, config: MiningConfig, workers: int = 1
 ) -> FrequentSets:
-    """Run the level-wise mining loop; levels end at the last non-empty one."""
+    """Run the level-wise mining loop; levels end at the last non-empty one.
+
+    workers must be a positive integer and is otherwise ignored."""
     if db.total <= 0:
         raise EmptyDatabaseError("cannot mine an empty database")
     if not isinstance(workers, int) or workers < 1:
@@ -221,7 +189,7 @@ def mine_frequent(
         candidates = candidate_gen(levels[k])
         if not candidates:
             break
-        counted = count_candidates(db, candidates, workers=workers)
+        counted = count_candidates(db, candidates)
         next_level = tuple(s for s in counted if s.count >= threshold)
         if not next_level:
             break

@@ -337,8 +337,9 @@ def write_rules_json(
 
 
 def read_rules_json(path: str | os.PathLike) -> RuleSetDocument:
-    """Load a write_rules_json file; a file that is not valid JSON or
-    lacks a required key raises IngestError naming the path."""
+    """Load a write_rules_json file; a file that is not valid JSON, lacks
+    a required key or names an item id outside its catalog raises
+    IngestError naming the path."""
     with open(path, "r", encoding="utf-8") as handle:
         try:
             document = json.load(handle)
@@ -368,6 +369,19 @@ def read_rules_json(path: str | os.PathLike) -> RuleSetDocument:
         total = document["total"]
     except KeyError as exc:
         raise IngestError(f"{path}: missing key {exc.args[0]!r}") from None
+    valid_ids = frozenset(range(len(entries)))
+    for index, rule in enumerate(rules):
+        items = rule.lhs.items + rule.rhs.items
+        try:
+            if valid_ids.issuperset(items):  # one C-level check per rule
+                continue
+        except TypeError:  # an unhashable id, such as a nested list
+            pass
+        bad = next(i for i in items if type(i) is not int or i not in valid_ids)
+        raise IngestError(
+            f"{path}: rule {index}: item id {bad!r} is not in the "
+            f"{len(entries)}-item catalog"
+        )
     return RuleSetDocument(
         catalog=ItemCatalog(tuple(entries)),
         total=total,

@@ -13,8 +13,7 @@ Key ideas:
   the bitmaps only when asked for.
 - One private builder packs the bitmaps; build_database (rows) and
   build_database_from_columns (columns) only adapt their input to it.
-- Databases are frozen after construction. Mining code may share one
-  instance across worker processes without copies or locks.
+- Databases are frozen after construction.
 
 Bit positions are row ordinals (0..total-1). Transaction ids are labels
 carried alongside; they take part in equality but not in bit layout.

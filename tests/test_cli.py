@@ -362,6 +362,53 @@ def test_malformed_rules_json_exits_1(tmp_path, capsys, content, message):
         assert err.startswith("error: ") and str(path) in err and message in err
 
 
+@pytest.mark.parametrize(
+    "corrupt, message",
+    [
+        (lambda cells: cells[:3] + ["abc"] + cells[4:], "support is not a number: 'abc'"),
+        (lambda cells: cells[:-1], "expected 8 fields, got 7"),
+    ],
+    ids=["non_numeric_metric", "short_row"],
+)
+def test_malformed_rules_csv_exits_1(uniform_csv, tmp_path, capsys, corrupt, message):
+    out = tmp_path / "out"
+    _mine(uniform_csv, out)
+    path = out / "rules.csv"
+    lines = path.read_text(encoding="utf-8").splitlines()
+    lines[1] = ",".join(corrupt(lines[1].split(",")))
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    capsys.readouterr()
+    assert cli.main(["report", "--input", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {path}:2: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["report"],
+        ["predict", "--known", "a=0", "--target", "b"],
+    ],
+    ids=["report", "predict"],
+)
+def test_rules_json_with_unknown_item_id_exits_1(tmp_path, capsys, argv):
+    table = tmp_path / "table.csv"
+    table.write_text("a,b\n0,0\n0,0\n1,1\n1,1\n", encoding="utf-8")
+    out = tmp_path / "out"
+    _mine(table, out, "--format", "json")
+    path = out / "rules.json"
+    document = json.loads(path.read_text(encoding="utf-8"))
+    assert len(document["catalog"]) == 4
+    document["rules"][0]["lhs"] = [99]
+    path.write_text(json.dumps(document), encoding="utf-8")
+    capsys.readouterr()
+    assert cli.main([argv[0], "--input", str(path), *argv[1:]]) == 1
+    err = capsys.readouterr().err
+    assert err == (
+        f"error: {path}: rule 0: item id 99 is not in the 4-item catalog\n"
+    )
+
+
 def test_predict_flow(tmp_path, capsys):
     table = tmp_path / "table.csv"
     table.write_text(

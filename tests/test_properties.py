@@ -5,9 +5,10 @@ import os
 import tempfile
 from fractions import Fraction
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from rulemine import (
+    Itemset,
     MiningConfig,
     RuleConfig,
     Transaction,
@@ -124,6 +125,28 @@ def test_parallel_counting_equals_serial(db, min_support):
     frequent = mine_frequent(db, MiningConfig(min_support), workers=1)
     forked = mine_frequent(db, MiningConfig(min_support), workers=3)
     assert frequent == forked
+
+
+@st.composite
+def counting_cases(draw):
+    """A database and candidates of mixed sizes: first in sorted order, so
+    shared prefixes form runs, then the same ones shuffled, so a prefix
+    recurs in several separate runs."""
+    db = draw(databases)
+    assume(len(db.catalog) > 0)
+    ids = st.sets(st.integers(0, len(db.catalog) - 1), min_size=1, max_size=5)
+    keys = draw(st.lists(ids.map(lambda s: tuple(sorted(s))), max_size=16))
+    shuffled = draw(st.permutations(keys))
+    return db, [Itemset(key) for key in sorted(keys) + shuffled]
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=counting_cases())
+def test_count_candidates_matches_support_count(case):
+    db, candidates = case
+    assert count_candidates(db, candidates) == [
+        Itemset(c.items, db.support_count(c.items)) for c in candidates
+    ]
 
 
 @settings(max_examples=40, deadline=None)
