@@ -13,17 +13,16 @@ Exit codes: 0 success, 1 input/output failure, 2 argument validation.
 from __future__ import annotations
 
 import argparse
-import dataclasses
+import csv
 import json
+import os
 import sys
 import time
-from dataclasses import dataclass
 from pathlib import Path
 
 from . import __version__
 from .errors import (
     ConfigError,
-    DatabaseError,
     IngestError,
     PredictionError,
     RulemineError,
@@ -48,33 +47,16 @@ from .rules import (
 
 ENGINE_NAME = "rulemine"
 
+# The mine flags a manifest records, in manifest key order; replay
+# restores exactly these.
+RECORDED_FLAGS = (
+    "input", "schema", "separator", "min_support", "min_confidence", "max_len",
+    "workers", "ordering", "include_empty_lhs", "format", "precision",
+)  # fmt: skip
 
-@dataclass
-class RunManifest:
-    """Record of one mine run, written alongside its outputs."""
-
-    engine: str
-    version: str
-    input: str
-    schema: str
-    separator: str
-    min_support: float
-    min_confidence: float
-    max_len: int | None
-    workers: int
-    ordering: str
-    include_empty_lhs: bool
-    format: str
-    precision: int
-    out_dir: str
-    outputs: dict
-    database: dict
-    timings: dict
-
-    def write(self, path: Path) -> None:
-        with open(path, "w", encoding="utf-8", newline="\n") as handle:
-            json.dump(dataclasses.asdict(self), handle, indent=2)
-            handle.write("\n")
+# Every float64 is a multiple of 2**-1074, so its fixed-point expansion
+# has at most 1074 decimals; a larger --precision only appends zeros.
+MAX_PRECISION = 1074
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -107,7 +89,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     mine.add_argument(
         "--no-empty-lhs",
-        action="store_true",
+        dest="include_empty_lhs",
+        action="store_false",
         help="suppress rules with an empty left-hand side",
     )
     mine.add_argument("--out-dir", default=None, help="output directory (default: out)")
@@ -150,30 +133,57 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_precision(precision: object) -> None:
+    if not isinstance(precision, int) or not 0 <= precision <= MAX_PRECISION:
+        raise ConfigError(f"--precision must be an integer in [0, {MAX_PRECISION}]")
+
+
 def _validate_mine_args(args: argparse.Namespace) -> None:
-    if not 0.0 < args.min_support <= 1.0:
-        raise ConfigError("--min-support must lie in (0,1]")
-    if not 0.0 < args.min_confidence <= 1.0:
-        raise ConfigError("--min-confidence must lie in (0,1]")
-    if args.max_len is not None and args.max_len < 1:
+    """Check the mine flags before any file is read. A replayed manifest
+    may hold any JSON value, so types are checked along with ranges."""
+    for flag, value in (
+        ("--min-support", args.min_support),
+        ("--min-confidence", args.min_confidence),
+    ):
+        if not isinstance(value, (int, float)) or not 0.0 < value <= 1.0:
+            raise ConfigError(f"{flag} must lie in (0,1]")
+    if args.max_len is not None and not (
+        isinstance(args.max_len, int) and args.max_len >= 1
+    ):
         raise ConfigError("--max-len must be a positive integer")
-    if args.workers < 1:
+    if not isinstance(args.workers, int) or args.workers < 1:
         raise ConfigError("--workers must be a positive integer")
-    if args.precision < 0:
-        raise ConfigError("--precision must be non-negative")
-    if len(args.separator) != 1:
+    _check_precision(args.precision)
+    separator = args.separator  # csv rejects NUL before Python 3.11
+    if not isinstance(separator, str) or len(separator) != 1 or separator == "\0":
         raise ConfigError("--separator must be a single character")
+    orderings = sorted(ORDERINGS)
+    if args.ordering not in orderings:
+        raise ConfigError(f"--ordering must be one of: {', '.join(orderings)}")
     if not args.input:
         raise ConfigError("--input is required")
+    for flag, path in (
+        ("--input", args.input),
+        ("--schema", args.schema),
+        ("--out-dir", args.out_dir),
+    ):
+        if not isinstance(path, str) or "\0" in path:
+            raise ConfigError(f"{flag} must be a path, got {path!r}")
 
 
 def cmd_mine(args: argparse.Namespace) -> int:
     if args.manifest:
         args = _args_from_manifest(args)
+    if args.out_dir is None:
+        args.out_dir = "out"
     _validate_mine_args(args)
+    # absolute paths let the manifest replay from any working directory
+    args.input = os.path.abspath(args.input)
+    if args.schema not in SCHEMA_PRESETS and args.schema != "generic":
+        args.schema = os.path.abspath(args.schema)
     schema = resolve_schema(args.schema)
 
-    out_dir = Path("out" if args.out_dir is None else args.out_dir)
+    out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
     stats: dict = {}
@@ -188,7 +198,7 @@ def cmd_mine(args: argparse.Namespace) -> int:
 
     rule_config = RuleConfig(
         min_confidence=args.min_confidence,
-        include_empty_lhs=not args.no_empty_lhs,
+        include_empty_lhs=args.include_empty_lhs,
         ordering=args.ordering,
     )
     t0 = time.perf_counter()
@@ -220,29 +230,19 @@ def cmd_mine(args: argparse.Namespace) -> int:
             mining={"min_support": args.min_support, "max_len": args.max_len},
             rule_config={
                 "min_confidence": args.min_confidence,
-                "include_empty_lhs": not args.no_empty_lhs,
+                "include_empty_lhs": args.include_empty_lhs,
                 "singleton_rhs": False,
                 "ordering": args.ordering,
             },
         )
     t_write = time.perf_counter() - t0
 
-    manifest = RunManifest(
-        engine=ENGINE_NAME,
-        version=__version__,
-        input=str(args.input),
-        schema=str(args.schema),
-        separator=args.separator,
-        min_support=args.min_support,
-        min_confidence=args.min_confidence,
-        max_len=args.max_len,
-        workers=args.workers,
-        ordering=args.ordering,
-        include_empty_lhs=not args.no_empty_lhs,
-        format=args.format,
-        precision=args.precision,
-        out_dir=str(out_dir),
-        outputs={
+    manifest = {
+        "engine": ENGINE_NAME,
+        "version": __version__,
+        **{name: getattr(args, name) for name in RECORDED_FLAGS},
+        "out_dir": str(out_dir),
+        "outputs": {
             "itemsets": str(itemsets_path),
             "rules_csv": str(rules_csv_path),
             "rules_json": (
@@ -250,20 +250,22 @@ def cmd_mine(args: argparse.Namespace) -> int:
             ),
             "manifest": str(manifest_path),
         },
-        database={
+        "database": {
             "total": db.total,
             "items": len(db.catalog),
             "columns": list(db.catalog.columns),
             **stats,
         },
-        timings={
+        "timings": {
             "load_s": round(t_load, 6),
             "mine_s": round(t_mine, 6),
             "rules_s": round(t_rules, 6),
             "write_s": round(t_write, 6),
         },
-    )
-    manifest.write(manifest_path)
+    }
+    with open(manifest_path, "w", encoding="utf-8", newline="\n") as handle:
+        json.dump(manifest, handle, indent=2)
+        handle.write("\n")
 
     print(
         f"{db.total} transactions, {len(frequent)} frequent itemsets, "
@@ -273,67 +275,66 @@ def cmd_mine(args: argparse.Namespace) -> int:
 
 
 def _args_from_manifest(args: argparse.Namespace) -> argparse.Namespace:
+    """The recorded run's flags; cmd_mine validates them as it would a
+    command line's. A manifest that is not a JSON object holding every
+    recorded flag raises IngestError naming it."""
+    path = args.manifest
     try:
-        with open(args.manifest, "r", encoding="utf-8") as handle:
-            recorded = json.load(handle)
+        with open(path, "r", encoding="utf-8") as handle:
+            # manifests from before the flag was recorded replay as True
+            recorded = {"include_empty_lhs": True, **json.load(handle)}
+        replay = argparse.Namespace(**vars(args))
+        for name in RECORDED_FLAGS:
+            setattr(replay, name, recorded[name])
+        if args.out_dir is None:  # not overridden: reuse the recorded directory
+            replay.out_dir = recorded["out_dir"]
     except OSError as exc:
-        raise IngestError(f"cannot read {args.manifest}: {exc}") from None
-    except json.JSONDecodeError as exc:
-        raise IngestError(f"{args.manifest}: not valid JSON: {exc}") from None
-    replay = argparse.Namespace(**vars(args))
-    replay.input = recorded["input"]
-    replay.schema = recorded["schema"]
-    replay.separator = recorded["separator"]
-    replay.min_support = recorded["min_support"]
-    replay.min_confidence = recorded["min_confidence"]
-    replay.max_len = recorded["max_len"]
-    replay.workers = recorded["workers"]
-    replay.ordering = recorded["ordering"]
-    replay.format = recorded["format"]
-    replay.precision = recorded["precision"]
-    replay.no_empty_lhs = not recorded.get("include_empty_lhs", True)
-    if args.out_dir is None:  # not overridden: reuse the recorded directory
-        replay.out_dir = recorded["out_dir"]
+        raise IngestError(f"cannot read {path}: {exc}") from None
+    except (json.JSONDecodeError, RecursionError) as exc:  # or nested too deep
+        raise IngestError(f"{path}: not valid JSON: {exc}") from None
+    except KeyError as exc:
+        raise IngestError(f"{path}: missing key {exc.args[0]!r}") from None
+    except TypeError:
+        raise IngestError(f"{path}: manifest must be a JSON object") from None
     replay.manifest = None
     return replay
 
 
 def _report_rows_from_csv(path: str, precision: int):
-    import csv as _csv
-
     with open(path, "r", encoding="utf-8", newline="") as handle:
-        reader = _csv.reader(handle)
+        reader = csv.reader(handle)
         try:
-            header = next(reader)
-        except StopIteration:
-            raise IngestError(f"{path}: empty rule file") from None
-        rows = []
-        for row in reader:
-            if len(row) != len(header):
-                raise IngestError(
-                    f"{path}:{reader.line_num}: expected {len(header)} fields, "
-                    f"got {len(row)}"
-                )
-            for index, name in enumerate(header):
-                if name in ("support", "confidence", "coverage", "lift",
-                            "conviction", "leverage"):
-                    try:
-                        value = float(row[index])
-                    except ValueError:
-                        raise IngestError(
-                            f"{path}:{reader.line_num}: {name} is not a "
-                            f"number: {row[index]!r}"
-                        ) from None
-                    row[index] = f"{value:.{precision}f}"
-            rows.append(row)
+            header = next(reader, None)
+            if header is None:
+                raise IngestError(f"{path}: empty rule file")
+            rows = []
+            for row in reader:
+                if len(row) != len(header):
+                    raise IngestError(
+                        f"{path}:{reader.line_num}: expected {len(header)} "
+                        f"fields, got {len(row)}"
+                    )
+                for index, name in enumerate(header):
+                    if name in ("support", "confidence", "coverage", "lift",
+                                "conviction", "leverage"):
+                        try:
+                            value = float(row[index])
+                        except ValueError:
+                            raise IngestError(
+                                f"{path}:{reader.line_num}: {name} is not a "
+                                f"number: {row[index]!r}"
+                            ) from None
+                        row[index] = f"{value:.{precision}f}"
+                rows.append(row)
+        except csv.Error as exc:  # e.g. a field past csv.field_size_limit()
+            raise IngestError(f"{path}:{reader.line_num}: {exc}") from None
     return header, rows
 
 
 def cmd_report(args: argparse.Namespace) -> int:
     if args.top < 0:
         raise ConfigError("--top must be non-negative")
-    if args.precision < 0:
-        raise ConfigError("--precision must be non-negative")
+    _check_precision(args.precision)
     path = str(args.input)
     if path.endswith(".json"):
         document = read_rules_json(path)
@@ -404,26 +405,16 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    command = {"mine": cmd_mine, "report": cmd_report, "predict": cmd_predict}
     try:
-        if args.command == "mine":
-            return cmd_mine(args)
-        if args.command == "report":
-            return cmd_report(args)
-        if args.command == "predict":
-            return cmd_predict(args)
-        raise ConfigError(f"unknown command {args.command!r}")
+        return command[args.command](args)
     except (ConfigError, SchemaError, UnknownItemError, PredictionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (IngestError, DatabaseError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except RulemineError as exc:  # anything else from the library
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        error, code = exc, 2
+    except (OSError, RulemineError, UnicodeError) as exc:
+        error, code = exc, 1
+    # one line, even when a path in the message holds a line break
+    print("error:", " ".join(str(error).splitlines()), file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -25,7 +25,7 @@ from __future__ import annotations
 import csv
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import IngestError, SchemaError
@@ -33,6 +33,7 @@ from .txdb import (
     TransactionDatabase,
     _check_label,
     build_database,
+    parse_item,
 )
 
 DEFAULT_MISSING_MARKERS = frozenset({"", "NA", "?"})
@@ -53,16 +54,16 @@ class SchemaConfig:
             raise SchemaError(f"schema {self.name!r} maps no columns")
         sources = [source for source, _ in self.columns]
         labels = [_check_label(label) for _, label in self.columns]
-        if len(set(sources)) != len(sources):
-            raise SchemaError(f"schema {self.name!r} repeats a source header")
-        if len(set(labels)) != len(labels):
-            raise SchemaError(f"schema {self.name!r} repeats an item label")
         for source in sources:
             if not isinstance(source, str) or not source:
                 raise SchemaError(
                     f"schema {self.name!r}: source header must be a non-empty "
                     f"string, got {source!r}"
                 )
+        if len(set(sources)) != len(sources):
+            raise SchemaError(f"schema {self.name!r} repeats a source header")
+        if len(set(labels)) != len(labels):
+            raise SchemaError(f"schema {self.name!r} repeats an item label")
         if self.missing_policy not in MISSING_POLICIES:
             raise SchemaError(
                 f"missing_policy must be one of {MISSING_POLICIES}, "
@@ -75,12 +76,6 @@ class SchemaConfig:
     @property
     def labels(self) -> tuple[str, ...]:
         return tuple(label for _, label in self.columns)
-
-    def source_of(self, label: str) -> str | None:
-        for source, candidate in self.columns:
-            if candidate == label:
-                return source
-        return None
 
 
 # Hodge-number table presets. Column order matters: it fixes item ids.
@@ -119,7 +114,7 @@ def load_schema_file(path: str | os.PathLike) -> SchemaConfig:
     with open(path, "r", encoding="utf-8") as handle:
         try:
             document = json.load(handle)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:  # or nested too deep
             raise SchemaError(f"{path}: not valid JSON: {exc}") from None
     if not isinstance(document, dict) or "columns" not in document:
         raise SchemaError(f"{path}: schema document must map 'columns'")
@@ -136,6 +131,10 @@ def load_schema_file(path: str | os.PathLike) -> SchemaConfig:
         columns.append((entry[0], entry[1]))
     name = document.get("name") or os.path.splitext(os.path.basename(path))[0]
     markers = document.get("missing_markers")
+    if markers is not None and not (
+        isinstance(markers, list) and all(isinstance(m, str) for m in markers)
+    ):
+        raise SchemaError(f"{path}: 'missing_markers' must be a list of strings")
     policy = document.get("missing_policy", "drop_row")
     return SchemaConfig(
         name=name,
@@ -185,76 +184,79 @@ def load_csv(
         handle = open(path, "r", encoding="utf-8-sig", newline="")
     except OSError as exc:
         raise IngestError(f"cannot read {path}: {exc}") from None
-    with handle:
-        reader = csv.reader(handle, delimiter=separator)
-        header = next(reader, None)
-        if header is None:
-            raise IngestError(f"{path}: empty file, expected a header row")
-        header = [cell.strip() for cell in header]
-        if schema is None:
-            schema = generic_schema(header)
+    try:
+        with handle:
+            reader = csv.reader(handle, delimiter=separator)
+            header = next(reader, None)
+            if header is None:
+                raise IngestError(f"{path}: empty file, expected a header row")
+            header = [cell.strip() for cell in header]
+            if schema is None:
+                schema = generic_schema(header)
 
-        indices = []
-        for source, _ in schema.columns:
-            hits = [i for i, cell in enumerate(header) if cell == source]
-            if not hits:
-                raise SchemaError(
-                    f"{path}: schema {schema.name!r} references header "
-                    f"{source!r} which is not in the file header"
-                )
-            if len(hits) > 1:
-                raise SchemaError(
-                    f"{path}: header {source!r} appears {len(hits)} times"
-                )
-            indices.append(hits[0])
+            indices = []
+            for source, _ in schema.columns:
+                hits = [i for i, cell in enumerate(header) if cell == source]
+                if not hits:
+                    raise SchemaError(
+                        f"{path}: schema {schema.name!r} references header "
+                        f"{source!r} which is not in the file header"
+                    )
+                if len(hits) > 1:
+                    raise SchemaError(
+                        f"{path}: header {source!r} appears {len(hits)} times"
+                    )
+                indices.append(hits[0])
 
-        drop_row = schema.missing_policy == "drop_row"
-        markers = schema.missing_markers
-        rows: list[tuple[int, list[tuple[str, int]]]] = []
-        rows_read = 0
-        dropped = 0
-        for lineno, record in enumerate(reader, start=2):
-            if not record:
-                continue  # blank line
-            rows_read += 1
-            cells = []
-            any_missing = False
-            for index, (source, label) in zip(indices, schema.columns):
-                cell = record[index].strip() if index < len(record) else ""
-                if cell in markers:
-                    any_missing = True
-                    cells.append((source, label, None))
-                else:
-                    cells.append((source, label, cell))
-            if any_missing and drop_row:
-                dropped += 1
-                continue
-            items = []
-            for source, label, cell in cells:
-                if cell is None:
+            drop_row = schema.missing_policy == "drop_row"
+            markers = schema.missing_markers
+            rows: list[tuple[int, list[tuple[str, int]]]] = []
+            rows_read = 0
+            dropped = 0
+            for lineno, record in enumerate(reader, start=2):
+                if not record:
+                    continue  # blank line
+                rows_read += 1
+                cells = []
+                any_missing = False
+                for index, (source, label) in zip(indices, schema.columns):
+                    cell = record[index].strip() if index < len(record) else ""
+                    if cell in markers:
+                        any_missing = True
+                        cells.append((source, label, None))
+                    else:
+                        cells.append((source, label, cell))
+                if any_missing and drop_row:
+                    dropped += 1
                     continue
-                try:
-                    value = int(cell)
-                except ValueError:
-                    raise IngestError(
-                        f"{path}:{lineno}: column {source!r}: cannot parse "
-                        f"{cell!r} as an integer"
-                    ) from None
-                items.append((label, value))
-            if not items:
-                dropped += 1  # fully missing row under partial_row
-                continue
-            rows.append((len(rows), items))
-        if stats is not None:
-            stats.update(
-                rows_read=rows_read,
-                rows_dropped=dropped,
-                rows_kept=len(rows),
-            )
-        if not rows:
-            raise IngestError(
-                f"{path}: no rows survived the {schema.missing_policy!r} policy"
-            )
+                items = []
+                for source, label, cell in cells:
+                    if cell is None:
+                        continue
+                    try:
+                        value = int(cell)
+                    except ValueError:
+                        raise IngestError(
+                            f"{path}:{lineno}: column {source!r}: cannot parse "
+                            f"{cell!r} as an integer"
+                        ) from None
+                    items.append((label, value))
+                if not items:
+                    dropped += 1  # fully missing row under partial_row
+                    continue
+                rows.append((len(rows), items))
+            if stats is not None:
+                stats.update(
+                    rows_read=rows_read,
+                    rows_dropped=dropped,
+                    rows_kept=len(rows),
+                )
+            if not rows:
+                raise IngestError(
+                    f"{path}: no rows survived the {schema.missing_policy!r} policy"
+                )
+    except csv.Error as exc:  # e.g. a field past csv.field_size_limit()
+        raise IngestError(f"{path}:{reader.line_num}: {exc}") from None
     return build_database(rows)
 
 
@@ -297,21 +299,10 @@ def load_transactions(path: str | os.PathLike) -> TransactionDatabase:
                 raise IngestError(
                     f"{path}:{lineno}: expected a transaction id, got {first!r}"
                 ) from None
-            items = []
-            for token in tokens:
-                column, eq, raw = token.rpartition("=")
-                if not eq or not column:
-                    raise IngestError(
-                        f"{path}:{lineno}: malformed item token {token!r}"
-                    )
-                try:
-                    value = int(raw)
-                except ValueError:
-                    raise IngestError(
-                        f"{path}:{lineno}: item token {token!r} has a "
-                        f"non-integer value"
-                    ) from None
-                items.append((column, value))
+            try:
+                items = [parse_item(token) for token in tokens]
+            except ValueError as exc:
+                raise IngestError(f"{path}:{lineno}: {exc}") from None
             rows.append((tid, items))
     if not rows:
         raise IngestError(f"{path}: no transactions in file")

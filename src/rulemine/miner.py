@@ -23,7 +23,7 @@ import os
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-from .errors import ConfigError, EmptyDatabaseError
+from .errors import ConfigError, EmptyDatabaseError, FrequentSetError
 from .txdb import ItemCatalog, ItemId, TransactionDatabase, popcount
 
 EPS = 1e-9
@@ -94,10 +94,21 @@ class FrequentSets:
         return len(self.levels) - 1
 
     def counts(self) -> dict[tuple[ItemId, ...], int]:
-        """Lookup table from item tuple to count; includes the empty set."""
-        table: dict[tuple[ItemId, ...], int] = {(): self.total}
+        """Lookup table from item tuple to count; includes the empty set.
+        Raises FrequentSetError unless every count lies in [0, total]."""
+        total = self.total
+        if not isinstance(total, int) or total <= 0:
+            raise FrequentSetError(f"total must be a positive int, got {total!r}")
+        table: dict[tuple[ItemId, ...], int] = {(): total}
         for itemset in self:
-            table[itemset.items] = itemset.count  # type: ignore[assignment]
+            if itemset.count is None:
+                raise FrequentSetError(f"itemset {itemset.items} has no count")
+            if not 0 <= itemset.count <= total:
+                raise FrequentSetError(
+                    f"count {itemset.count} of itemset {itemset.items} is outside "
+                    f"[0, total={total}]"
+                )
+            table[itemset.items] = itemset.count
         return table
 
 

@@ -23,11 +23,11 @@ import json
 import math
 import os
 from dataclasses import dataclass
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
-from .errors import ConfigError, FrequentSetError, IngestError, MetricError
+from .errors import ConfigError, FrequentSetError, IngestError, MetricError, SchemaError
 from .miner import FrequentSets, Itemset, meets_threshold
-from .txdb import ItemCatalog, ItemId
+from .txdb import ItemCatalog, ItemId, parse_item
 
 
 class Metrics(NamedTuple):
@@ -167,20 +167,8 @@ def generate_rules(
     rule. All counts come from the frequent sets themselves; downward
     closure guarantees X and Y are present.
     """
+    counts = frequent.counts()
     total = frequent.total
-    if not isinstance(total, int) or total <= 0:
-        raise FrequentSetError(f"total must be a positive int, got {total!r}")
-    counts: dict[tuple[ItemId, ...], int] = {(): total}
-    for itemset in frequent:
-        if itemset.count is None:
-            raise FrequentSetError(f"itemset {itemset.items} has no count")
-        if not 0 <= itemset.count <= total:
-            raise FrequentSetError(
-                f"count {itemset.count} of itemset {itemset.items} is outside "
-                f"[0, total={total}]"
-            )
-        counts[itemset.items] = itemset.count
-
     out: list[AssociationRule] = []
     for itemset in frequent:
         items = itemset.items
@@ -337,39 +325,48 @@ def write_rules_json(
 
 
 def read_rules_json(path: str | os.PathLike) -> RuleSetDocument:
-    """Load a write_rules_json file; a file that is not valid JSON, lacks
-    a required key or names an item id outside its catalog raises
-    IngestError naming the path."""
+    """Load a write_rules_json file; a file that is not valid JSON, lacks a
+    required key, holds a value of the wrong shape or names an item id
+    outside its catalog raises IngestError naming the path. Metrics are
+    converted to float, not re-derived from the counts."""
     with open(path, "r", encoding="utf-8") as handle:
         try:
             document = json.load(handle)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:  # or nested too deep
             raise IngestError(f"{path}: not valid JSON: {exc}") from None
     if not isinstance(document, dict):
         raise IngestError(f"{path}: rules document must be a JSON object")
     try:
-        entries = []
-        for token in document["catalog"]:
-            column, _, raw = token.rpartition("=")
-            entries.append((column, int(raw)))
+        catalog = ItemCatalog(
+            tuple(parse_item(token) for token in document["catalog"])
+        )
         rules = tuple(
             AssociationRule(
                 lhs=Itemset(tuple(r["lhs"]), r["lhs_count"]),
                 rhs=Itemset(tuple(r["rhs"]), r["rhs_count"]),
                 count=r["count"],
-                support=r["support"],
-                confidence=r["confidence"],
-                coverage=r["coverage"],
-                lift=r["lift"],
+                support=float(r["support"]),
+                confidence=float(r["confidence"]),
+                coverage=float(r["coverage"]),
+                lift=float(r["lift"]),
                 conviction=_conviction_from_json(r["conviction"]),
-                leverage=r["leverage"],
+                leverage=float(r["leverage"]),
             )
             for r in document["rules"]
         )
-        total = document["total"]
+        parsed = RuleSetDocument(
+            catalog=catalog,
+            total=document["total"],
+            rules=rules,
+            column_sources=dict(document.get("column_sources") or {}),
+            mining=dict(document.get("mining") or {}),
+            rule_config=dict(document.get("rule_config") or {}),
+        )
     except KeyError as exc:
         raise IngestError(f"{path}: missing key {exc.args[0]!r}") from None
-    valid_ids = frozenset(range(len(entries)))
+    except (TypeError, ValueError, AttributeError, SchemaError) as exc:
+        raise IngestError(f"{path}: malformed rules document: {exc}") from None
+    valid_ids = frozenset(range(len(catalog)))
     for index, rule in enumerate(rules):
         items = rule.lhs.items + rule.rhs.items
         try:
@@ -380,13 +377,6 @@ def read_rules_json(path: str | os.PathLike) -> RuleSetDocument:
         bad = next(i for i in items if type(i) is not int or i not in valid_ids)
         raise IngestError(
             f"{path}: rule {index}: item id {bad!r} is not in the "
-            f"{len(entries)}-item catalog"
+            f"{len(catalog)}-item catalog"
         )
-    return RuleSetDocument(
-        catalog=ItemCatalog(tuple(entries)),
-        total=total,
-        rules=rules,
-        column_sources=dict(document.get("column_sources") or {}),
-        mining=dict(document.get("mining") or {}),
-        rule_config=dict(document.get("rule_config") or {}),
-    )
+    return parsed

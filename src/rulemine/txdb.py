@@ -39,15 +39,7 @@ ItemId = int
 # the brace-wrapped rule rendering.
 _LABEL_FORBIDDEN = set("={},")
 
-try:  # Python 3.11+
-    popcount = int.bit_count
-except AttributeError:  # pragma: no cover - interpreter dependent
-    try:
-        from gmpy2 import popcount
-    except ImportError:
-
-        def popcount(x: int) -> int:
-            return bin(x).count("1")
+popcount = int.bit_count
 
 
 def _check_label(label: object) -> str:
@@ -68,6 +60,20 @@ def _check_value(column: str, value: object) -> int:
             f"value for column {column!r} must be an int, got {value!r}"
         )
     return value
+
+
+def parse_item(token: str) -> tuple[str, int]:
+    """Split a "column=value" token (the inverse of ItemCatalog.render);
+    raises ValueError on a token with no column or a non-integer value."""
+    column, eq, raw = token.rpartition("=")
+    if not eq or not column:
+        raise ValueError(
+            f"malformed item token {token!r}, expected '<column>=<int>'"
+        )
+    try:
+        return column, int(raw)
+    except ValueError:
+        raise ValueError(f"item token {token!r} has a non-integer value") from None
 
 
 class Transaction(NamedTuple):
@@ -120,17 +126,10 @@ class ItemCatalog:
 
     def parse(self, token: str) -> ItemId:
         """Map a "column=value" token back to its id."""
-        column, eq, raw = token.rpartition("=")
-        if not eq or not column:
-            raise UnknownItemError(
-                f"malformed item token {token!r}, expected '<column>=<int>'"
-            )
         try:
-            value = int(raw)
-        except ValueError:
-            raise UnknownItemError(
-                f"malformed item token {token!r}: {raw!r} is not an integer"
-            ) from None
+            column, value = parse_item(token)
+        except ValueError as exc:
+            raise UnknownItemError(str(exc)) from None
         return self.id_of(column, value)
 
     @property

@@ -5,6 +5,7 @@ import shutil
 import subprocess
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from rulemine import cli
 
@@ -140,6 +141,154 @@ def test_manifest_replay_honours_explicit_default_out_dir(
 def test_manifest_replay_missing_file(tmp_path):
     code = cli.main(["mine", "--manifest", str(tmp_path / "none.json")])
     assert code == 1
+
+
+def test_manifest_replay_from_another_directory(tmp_path, monkeypatch):
+    recorded = tmp_path / "a"
+    recorded.mkdir()
+    (recorded / "table.csv").write_text("h11,h21\n1,2\n1,2\n1,3\n", encoding="utf-8")
+    (recorded / "schema.json").write_text(
+        '{"columns": [["h11", "x"], ["h21", "y"]]}', encoding="utf-8"
+    )
+    monkeypatch.chdir(recorded)
+    argv = ["mine", "--input", "table.csv", "--schema", "schema.json", "--format", "json"]
+    assert cli.main([*argv, "--out-dir", "out"]) == 0
+    manifest = json.loads((recorded / "out" / "manifest.json").read_text(encoding="utf-8"))
+    assert manifest["input"] == str(recorded / "table.csv")
+    assert manifest["schema"] == str(recorded / "schema.json")
+
+    elsewhere = tmp_path / "b"
+    elsewhere.mkdir()
+    monkeypatch.chdir(elsewhere)
+    manifest_path = recorded / "out" / "manifest.json"
+    assert cli.main(["mine", "--manifest", str(manifest_path), "--out-dir", "again"]) == 0
+    for name in ("itemsets.csv", "rules.csv", "rules.json"):
+        assert (elsewhere / "again" / name).read_bytes() == (
+            recorded / "out" / name
+        ).read_bytes()
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda m: {k: v for k, v in m.items() if k != "schema"}, "missing key 'schema'"),
+        (lambda m: {k: v for k, v in m.items() if k != "out_dir"}, "missing key 'out_dir'"),
+        (lambda m: [m], "manifest must be a JSON object"),
+        (lambda m: 7, "manifest must be a JSON object"),
+    ],
+    ids=["no_schema", "no_out_dir", "list", "number"],
+)
+def test_malformed_manifest_exits_1(uniform_csv, tmp_path, capsys, edit, message):
+    _mine(uniform_csv, tmp_path / "out")
+    path = tmp_path / "out" / "manifest.json"
+    path.write_text(json.dumps(edit(json.loads(path.read_text(encoding="utf-8")))))
+    capsys.readouterr()
+    assert cli.main(["mine", "--manifest", str(path)]) == 1
+    assert capsys.readouterr().err == f"error: {path}: {message}\n"
+
+
+def test_manifest_without_include_empty_lhs_replays_as_true(uniform_csv, tmp_path):
+    _mine(uniform_csv, tmp_path / "out")
+    path = tmp_path / "out" / "manifest.json"
+    manifest = json.loads(path.read_text(encoding="utf-8"))
+    del manifest["include_empty_lhs"]
+    path.write_text(json.dumps(manifest), encoding="utf-8")
+    again = tmp_path / "again"
+    assert cli.main(["mine", "--manifest", str(path), "--out-dir", str(again)]) == 0
+    replayed = json.loads((again / "manifest.json").read_text(encoding="utf-8"))
+    assert replayed["include_empty_lhs"] is True
+    assert (again / "rules.csv").read_bytes() == (tmp_path / "out" / "rules.csv").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [
+        ("min_support", "0.5", "--min-support must lie in (0,1]"),
+        ("max_len", 2.5, "--max-len must be a positive integer"),
+        ("workers", None, "--workers must be a positive integer"),
+        ("precision", 2.0, "--precision must be an integer in [0, 1074]"),
+        ("separator", [","], "--separator must be a single character"),
+        ("ordering", ["default"], "--ordering must be one of: confidence, default, support"),
+        ("input", 3, "--input must be a path, got 3"),
+        ("schema", "a\0b", "--schema must be a path, got 'a\\x00b'"),
+        ("schema", None, "--schema must be a path, got None"),
+        ("out_dir", {}, "--out-dir must be a path, got {}"),
+    ],
+)
+def test_manifest_with_mistyped_flag_exits_2(uniform_csv, tmp_path, capsys, flag, value, message):
+    _mine(uniform_csv, tmp_path / "out")
+    path = tmp_path / "out" / "manifest.json"
+    manifest = json.loads(path.read_text(encoding="utf-8"))
+    manifest[flag] = value
+    path.write_text(json.dumps(manifest), encoding="utf-8")
+    capsys.readouterr()
+    assert cli.main(["mine", "--manifest", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_precision_out_of_range_exits_2(uniform_csv, tmp_path, capsys):
+    assert _mine(uniform_csv, tmp_path / "out", "--precision", "1075") == 2
+    assert cli.main(["report", "--input", str(tmp_path / "x.csv"), "--precision", "-1"]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: --precision must be an integer in [0, 1074]"] * 2
+
+
+@pytest.mark.parametrize("name", ["rules.csv", "rules.json", "manifest.json", "table.csv", "schema.json"])
+def test_non_utf8_file_exits_1(uniform_csv, tmp_path, capsys, name):
+    path = tmp_path / name
+    path.write_bytes(b"a,b\n\xff\xfe,1\n")
+    argv = {
+        "rules.csv": ["report", "--input", str(path)],
+        "rules.json": ["predict", "--input", str(path), "--target", "a"],
+        "manifest.json": ["mine", "--manifest", str(path)],
+        "table.csv": ["mine", "--input", str(path), "--out-dir", str(tmp_path / "out")],
+        "schema.json": ["mine", "--input", str(uniform_csv), "--schema", str(path)],
+    }[name]
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "can't decode byte 0xff" in err
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["report", "--input"], 1),
+        (["mine", "--manifest"], 1),
+        (["mine", "--input", "table.csv", "--schema"], 2),
+    ],
+    ids=["rules_json", "manifest", "schema"],
+)
+def test_json_nested_past_the_recursion_limit_is_invalid(tmp_path, capsys, argv, code):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000, encoding="utf-8")
+    assert cli.main([*argv, str(path)]) == code
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: not valid JSON: maximum recursion depth")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["report", "mine"])
+def test_csv_with_an_oversized_field_exits_1(tmp_path, capsys, command):
+    path = tmp_path / "table.csv"
+    path.write_text('a,b\n1,"' + "x" * 200_000 + "\n", encoding="utf-8")
+    argv = [command, "--input", str(path)]
+    assert cli.main(argv + (["--out-dir", str(tmp_path / "out")] if command == "mine" else [])) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}:2: field larger than field limit")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("markers", ['"NA"', "5", '[["NA"]]'])
+def test_schema_with_non_list_missing_markers_exits_2(uniform_csv, tmp_path, capsys, markers):
+    schema = tmp_path / "schema.json"
+    schema.write_text(
+        '{"columns": [["a", "a"]], "missing_markers": %s}' % markers, encoding="utf-8"
+    )
+    assert cli.main(["mine", "--input", str(uniform_csv), "--schema", str(schema)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {schema}: 'missing_markers' must be a list of strings\n"
+    )
 
 
 def test_missing_input_exits_1(tmp_path, capsys):
@@ -348,6 +497,16 @@ def test_report_missing_file(tmp_path):
         ("{not json", "not valid JSON"),
         ('{"total": 4, "rules": []}', "missing key 'catalog'"),
         ('{"total": 4, "catalog": ["a=1"]}', "missing key 'rules'"),
+        ('{"total": 4, "catalog": ["a=1"], "rules": [5]}', "malformed rules document"),
+        ('{"total": 4, "catalog": ["a=1"], "rules": [{"lhs": 3}]}',
+         "malformed rules document"),
+        ('{"total": 4, "catalog": ["a=1"], "rules": [{"lhs": [], "lhs_count": 4, "rhs": 0}]}',
+         "malformed rules document"),
+        ('{"total": 4, "catalog": ["a=x"], "rules": []}',
+         "item token 'a=x' has a non-integer value"),
+        ('{"total": 4, "catalog": [1], "rules": []}', "malformed rules document"),
+        ('{"total": 4, "catalog": ["a=1", "a=1"], "rules": []}',
+         "duplicate catalog entry a=1"),
     ],
 )
 def test_malformed_rules_json_exits_1(tmp_path, capsys, content, message):
@@ -360,6 +519,7 @@ def test_malformed_rules_json_exits_1(tmp_path, capsys, content, message):
         assert cli.main(argv) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and str(path) in err and message in err
+        assert err.count("\n") == 1
 
 
 @pytest.mark.parametrize(
@@ -558,6 +718,85 @@ def test_predict_bad_tokens_exit_2(tmp_path, capsys):
     )
     assert code == 2
     assert "already present" in capsys.readouterr().err
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=8), inner, max_size=4),
+    max_leaves=8,
+)
+
+
+@st.composite
+def _mutated(draw, value):
+    """value with one part, at any depth, replaced by an arbitrary JSON
+    value or deleted."""
+    if isinstance(value, (dict, list)) and value and draw(st.booleans()):
+        copy = value.copy()
+        key = draw(st.sampled_from(list(copy) if isinstance(copy, dict) else range(len(copy))))
+        if draw(st.integers(0, 3)) == 0:
+            del copy[key]
+        else:
+            copy[key] = draw(_mutated(copy[key]))
+        return copy
+    return draw(_JSON_VALUES)
+
+
+def _json_bytes(value) -> bytes:
+    return json.dumps(value).encode()
+
+
+@st.composite
+def _spliced(draw, content: bytes):
+    """content with one slice replaced by arbitrary bytes."""
+    start = draw(st.integers(0, len(content)))
+    end = draw(st.integers(start, len(content)))
+    return content[:start] + draw(st.binary(max_size=8)) + content[end:]
+
+
+@pytest.fixture(scope="module")
+def real_outputs(tmp_path_factory):
+    root = tmp_path_factory.mktemp("real")
+    table = root / "table.csv"
+    table.write_text("a,b\n0,0\n0,0\n1,1\n1,0\n", encoding="utf-8")
+    argv = ["mine", "--input", str(table), "--out-dir", str(root / "out"), "--format", "json",
+            "--min-support", "0.25", "--min-confidence", "0.5"]
+    assert cli.main(argv) == 0
+    return root
+
+
+@settings(
+    max_examples=150,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(data=st.data())
+def test_no_file_content_gives_a_traceback(real_outputs, capsys, data):
+    name = data.draw(st.sampled_from(["rules.json", "rules.csv", "manifest.json"]))
+    real = (real_outputs / "out" / name).read_bytes()
+    contents = [st.binary(max_size=64), _spliced(real)]
+    if name.endswith(".json"):
+        contents += [_JSON_VALUES.map(_json_bytes), _mutated(json.loads(real)).map(_json_bytes)]
+    content = data.draw(st.one_of(contents))
+    path = real_outputs / name
+    path.write_bytes(content)
+    for argv in {
+        "rules.json": [
+            ["report", "--input", str(path)],
+            ["predict", "--input", str(path), "--known", "a=0", "--target", "b"],
+        ],
+        "rules.csv": [["report", "--input", str(path)]],
+        "manifest.json": [
+            ["mine", "--manifest", str(path), "--out-dir", str(real_outputs / "replay")]
+        ],
+    }[name]:
+        capsys.readouterr()
+        code = cli.main(argv)
+        err = capsys.readouterr().err
+        assert code in (0, 1, 2)
+        if code:
+            assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
 def test_console_script_is_installed():

@@ -202,8 +202,6 @@ def test_preset_mappings():
         ("h33", "item9"),
     )
     assert SCHEMA_PRESETS == {"cicy5": CICY5_SCHEMA, "cicy6": CICY6_SCHEMA}
-    assert CICY5_SCHEMA.source_of("item5") == "h22"
-    assert CICY5_SCHEMA.source_of("nope") is None
     assert CICY6_SCHEMA.labels == tuple(f"item{i}" for i in range(1, 10))
 
 
@@ -285,6 +283,11 @@ def test_schema_file_errors(tmp_path):
     bad_entry.write_text('{"columns": [["a"]]}', encoding="utf-8")
     with pytest.raises(SchemaError, match=r"\[source, label\] pair"):
         load_schema_file(bad_entry)
+
+    list_source = tmp_path / "source.json"
+    list_source.write_text('{"columns": [[["a"], "x"]]}', encoding="utf-8")
+    with pytest.raises(SchemaError, match="source header must be a non-empty string"):
+        load_schema_file(list_source)
 
 
 def test_export_exact_bytes(tmp_path):
