@@ -13,6 +13,7 @@ Exit codes: 0 success, 1 input/output failure, 2 argument validation.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import os
@@ -28,6 +29,7 @@ from .errors import (
     RulemineError,
     SchemaError,
     UnknownItemError,
+    utf8_input,
 )
 from .ingest import SCHEMA_PRESETS, load_csv, resolve_schema
 from .miner import MiningConfig, mine_frequent, write_itemsets
@@ -209,63 +211,82 @@ def cmd_mine(args: argparse.Namespace) -> int:
     rules_csv_path = out_dir / "rules.csv"
     rules_json_path = out_dir / "rules.json" if args.format == "json" else None
     manifest_path = out_dir / "manifest.json"
-
-    t0 = time.perf_counter()
-    write_itemsets(frequent, db.catalog, itemsets_path)
-    write_rules_csv(
-        rules, db.catalog, rules_csv_path, precision=args.precision
-    )
-    if rules_json_path is not None:
-        sources = (
-            {label: source for source, label in schema.columns}
-            if schema is not None
-            else {}
-        )
-        write_rules_json(
-            rules,
-            db.catalog,
-            db.total,
-            rules_json_path,
-            column_sources=sources,
-            mining={"min_support": args.min_support, "max_len": args.max_len},
-            rule_config={
-                "min_confidence": args.min_confidence,
-                "include_empty_lhs": args.include_empty_lhs,
-                "singleton_rhs": False,
-                "ordering": args.ordering,
-            },
-        )
-    t_write = time.perf_counter() - t0
-
-    manifest = {
-        "engine": ENGINE_NAME,
-        "version": __version__,
-        **{name: getattr(args, name) for name in RECORDED_FLAGS},
-        "out_dir": str(out_dir),
-        "outputs": {
-            "itemsets": str(itemsets_path),
-            "rules_csv": str(rules_csv_path),
-            "rules_json": (
-                str(rules_json_path) if rules_json_path is not None else None
-            ),
-            "manifest": str(manifest_path),
-        },
-        "database": {
-            "total": db.total,
-            "items": len(db.catalog),
-            "columns": list(db.catalog.columns),
-            **stats,
-        },
-        "timings": {
-            "load_s": round(t_load, 6),
-            "mine_s": round(t_mine, 6),
-            "rules_s": round(t_rules, 6),
-            "write_s": round(t_write, 6),
-        },
+    # Each output is written under a temporary name in out_dir and moved
+    # into place once all are written, the manifest last, so a run that
+    # fails leaves the previous run's files as they were.
+    finals = [
+        path
+        for path in (itemsets_path, rules_csv_path, rules_json_path, manifest_path)
+        if path is not None
+    ]
+    staged = {
+        path: path.with_name(f".{path.name}.{os.getpid()}.tmp") for path in finals
     }
-    with open(manifest_path, "w", encoding="utf-8", newline="\n") as handle:
-        json.dump(manifest, handle, indent=2)
-        handle.write("\n")
+    try:
+        t0 = time.perf_counter()
+        write_itemsets(frequent, db.catalog, staged[itemsets_path])
+        write_rules_csv(
+            rules, db.catalog, staged[rules_csv_path], precision=args.precision
+        )
+        if rules_json_path is not None:
+            sources = (
+                {label: source for source, label in schema.columns}
+                if schema is not None
+                else {}
+            )
+            write_rules_json(
+                rules,
+                db.catalog,
+                db.total,
+                staged[rules_json_path],
+                column_sources=sources,
+                mining={"min_support": args.min_support, "max_len": args.max_len},
+                rule_config={
+                    "min_confidence": args.min_confidence,
+                    "include_empty_lhs": args.include_empty_lhs,
+                    "singleton_rhs": False,
+                    "ordering": args.ordering,
+                },
+            )
+        t_write = time.perf_counter() - t0
+
+        manifest = {
+            "engine": ENGINE_NAME,
+            "version": __version__,
+            **{name: getattr(args, name) for name in RECORDED_FLAGS},
+            "out_dir": str(out_dir),
+            "outputs": {
+                "itemsets": str(itemsets_path),
+                "rules_csv": str(rules_csv_path),
+                "rules_json": (
+                    str(rules_json_path) if rules_json_path is not None else None
+                ),
+                "manifest": str(manifest_path),
+            },
+            "database": {
+                "total": db.total,
+                "items": len(db.catalog),
+                "columns": list(db.catalog.columns),
+                **stats,
+            },
+            "timings": {
+                "load_s": round(t_load, 6),
+                "mine_s": round(t_mine, 6),
+                "rules_s": round(t_rules, 6),
+                "write_s": round(t_write, 6),
+            },
+        }
+        with open(
+            staged[manifest_path], "w", encoding="utf-8", newline="\n"
+        ) as handle:
+            json.dump(manifest, handle, indent=2)
+            handle.write("\n")
+        for path in finals:
+            os.replace(staged[path], path)
+    finally:
+        for temporary in staged.values():
+            with contextlib.suppress(OSError):
+                temporary.unlink(missing_ok=True)
 
     print(
         f"{db.total} transactions, {len(frequent)} frequent itemsets, "
@@ -280,7 +301,7 @@ def _args_from_manifest(args: argparse.Namespace) -> argparse.Namespace:
     recorded flag raises IngestError naming it."""
     path = args.manifest
     try:
-        with open(path, "r", encoding="utf-8") as handle:
+        with open(path, "r", encoding="utf-8") as handle, utf8_input(path):
             # manifests from before the flag was recorded replay as True
             recorded = {"include_empty_lhs": True, **json.load(handle)}
         replay = argparse.Namespace(**vars(args))
@@ -301,7 +322,7 @@ def _args_from_manifest(args: argparse.Namespace) -> argparse.Namespace:
 
 
 def _report_rows_from_csv(path: str, precision: int):
-    with open(path, "r", encoding="utf-8", newline="") as handle:
+    with open(path, "r", encoding="utf-8", newline="") as handle, utf8_input(path):
         reader = csv.reader(handle)
         try:
             header = next(reader, None)

@@ -6,6 +6,9 @@ validation problems (schema content, bad thresholds, unknown items,
 predictor misuse) exit 2, data and I/O problems exit 1.
 """
 
+import contextlib
+import os
+
 
 class RulemineError(Exception):
     """Base class for all errors raised by this package."""
@@ -53,3 +56,13 @@ class OracleBoundError(RulemineError):
 
 class PredictionError(RulemineError):
     """A prediction query contradicts itself."""
+
+
+@contextlib.contextmanager
+def utf8_input(path: str | os.PathLike):
+    """Context for reading path: bytes that do not decode raise
+    IngestError naming the file, not a bare UnicodeDecodeError."""
+    try:
+        yield
+    except UnicodeDecodeError as exc:
+        raise IngestError(f"{path}: not UTF-8: {exc}") from None

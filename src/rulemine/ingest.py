@@ -28,7 +28,7 @@ import os
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import IngestError, SchemaError
+from .errors import IngestError, SchemaError, utf8_input
 from .txdb import (
     TransactionDatabase,
     _check_label,
@@ -111,7 +111,7 @@ SCHEMA_PRESETS = {"cicy5": CICY5_SCHEMA, "cicy6": CICY6_SCHEMA}
 
 def load_schema_file(path: str | os.PathLike) -> SchemaConfig:
     """Read a JSON schema document; content errors raise SchemaError."""
-    with open(path, "r", encoding="utf-8") as handle:
+    with open(path, "r", encoding="utf-8") as handle, utf8_input(path):
         try:
             document = json.load(handle)
         except (json.JSONDecodeError, RecursionError) as exc:  # or nested too deep
@@ -185,7 +185,7 @@ def load_csv(
     except OSError as exc:
         raise IngestError(f"cannot read {path}: {exc}") from None
     try:
-        with handle:
+        with handle, utf8_input(path):
             reader = csv.reader(handle, delimiter=separator)
             header = next(reader, None)
             if header is None:
@@ -287,7 +287,7 @@ def load_transactions(path: str | os.PathLike) -> TransactionDatabase:
         handle = open(path, "r", encoding="utf-8")
     except OSError as exc:
         raise IngestError(f"cannot read {path}: {exc}") from None
-    with handle:
+    with handle, utf8_input(path):
         for lineno, line in enumerate(handle, start=1):
             line = line.rstrip("\n")
             if not line:

@@ -112,6 +112,32 @@ class FrequentSets:
         return table
 
 
+def join_prefix(
+    keys: Sequence[tuple[ItemId, ...]],
+) -> Iterator[tuple[ItemId, ...]]:
+    """The Apriori join and prune over sorted k-tuples of one size k.
+
+    Yields, in lexicographic order, every (k+1)-tuple made by joining two
+    keys that share their first k-1 items whose k-subsets are all keys.
+    """
+    present = set(keys)
+    n = len(keys)
+    k = len(keys[0]) if keys else 0
+    for i in range(n):
+        first = keys[i]
+        prefix = first[:-1]
+        for j in range(i + 1, n):
+            second = keys[j]
+            if second[:-1] != prefix:
+                break  # sorted input keeps equal prefixes contiguous
+            joined = first + (second[-1],)
+            # dropping joined[-1] or joined[-2] gives first or second
+            if all(
+                joined[:m] + joined[m + 1 :] in present for m in range(k - 1)
+            ):
+                yield joined
+
+
 def candidate_gen(level_k: Sequence[Itemset]) -> list[Itemset]:
     """Join frequent k-itemsets sharing a (k-1)-prefix, then prune.
 
@@ -125,23 +151,7 @@ def candidate_gen(level_k: Sequence[Itemset]) -> list[Itemset]:
     keys = [s.items for s in level_k]
     if any(len(key) != k for key in keys):
         raise ConfigError("candidate_gen requires itemsets of uniform size")
-    present = set(keys)
-    out: list[Itemset] = []
-    n = len(keys)
-    for i in range(n):
-        first = keys[i]
-        prefix = first[:-1]
-        for j in range(i + 1, n):
-            second = keys[j]
-            if second[:-1] != prefix:
-                break  # sorted input keeps equal prefixes contiguous
-            joined = first + (second[-1],)
-            # dropping joined[-1] or joined[-2] gives first or second
-            if all(
-                joined[:m] + joined[m + 1 :] in present for m in range(k - 1)
-            ):
-                out.append(Itemset(joined))
-    return out
+    return [Itemset(joined) for joined in join_prefix(keys)]
 
 
 def count_candidates(

@@ -23,10 +23,18 @@ import json
 import math
 import os
 from dataclasses import dataclass
+from itertools import filterfalse
 from typing import Callable, NamedTuple, Sequence
 
-from .errors import ConfigError, FrequentSetError, IngestError, MetricError, SchemaError
-from .miner import FrequentSets, Itemset, meets_threshold
+from .errors import (
+    ConfigError,
+    FrequentSetError,
+    IngestError,
+    MetricError,
+    SchemaError,
+    utf8_input,
+)
+from .miner import FrequentSets, Itemset, join_prefix, meets_threshold
 from .txdb import ItemCatalog, ItemId, parse_item
 
 
@@ -164,42 +172,51 @@ def generate_rules(
     For each frequent Z and each split Z = X | Y with Y non-empty (and
     X = {} only when include_empty_lhs), the rule X => Y is kept iff its
     confidence N(Z)/N(X) clears min_confidence under the shared epsilon
-    rule. All counts come from the frequent sets themselves; downward
-    closure guarantees X and Y are present.
+    rule. Splits are tested by ap-genrules (Agrawal & Srikant, VLDB 1994,
+    section 3): growing Y shrinks X, which can only raise N(X) and lower
+    the confidence, so the singleton consequents are tested first and
+    each (m+1)-consequent is joined, as candidate_gen joins itemsets, only
+    from m-consequents that passed. singleton_rhs stops after the
+    singletons. All counts come from the frequent sets themselves; a
+    missing subset raises FrequentSetError. The sort key ends in the
+    items of both sides, so the order does not depend on the search.
     """
     counts = frequent.counts()
     total = frequent.total
+    min_confidence = config.min_confidence
     out: list[AssociationRule] = []
-    for itemset in frequent:
-        items = itemset.items
-        joint = itemset.count
-        size = len(items)
-        for mask in range(1, 1 << size):
-            rhs = tuple(items[b] for b in range(size) if mask >> b & 1)
-            if config.singleton_rhs and len(rhs) != 1:
-                continue
-            lhs = tuple(items[b] for b in range(size) if not mask >> b & 1)
-            if not lhs and not config.include_empty_lhs:
-                continue
-            try:
-                lhs_count = counts[lhs]
-                rhs_count = counts[rhs]
-            except KeyError as missing:
-                raise FrequentSetError(
-                    f"frequent sets are not downward closed: missing subset "
-                    f"{missing.args[0]}"
-                ) from None
-            if not meets_threshold(joint, lhs_count, config.min_confidence):
-                continue
-            metrics = compute_metrics(lhs_count, rhs_count, joint, total)
-            out.append(
-                AssociationRule(
-                    lhs=Itemset(lhs, lhs_count),
-                    rhs=Itemset(rhs, rhs_count),
-                    count=joint,
-                    **metrics._asdict(),
-                )
-            )
+    try:
+        for itemset in frequent:
+            items = itemset.items
+            joint = itemset.count
+            consequents = [(item,) for item in items]
+            while consequents:
+                passed = []
+                for rhs in consequents:
+                    lhs = tuple(filterfalse(rhs.__contains__, items))
+                    if not lhs and not config.include_empty_lhs:
+                        continue
+                    lhs_count = counts[lhs]
+                    if not meets_threshold(joint, lhs_count, min_confidence):
+                        continue
+                    passed.append(rhs)
+                    rhs_count = counts[rhs]
+                    out.append(
+                        AssociationRule(
+                            Itemset(lhs, lhs_count),
+                            Itemset(rhs, rhs_count),
+                            joint,
+                            *compute_metrics(lhs_count, rhs_count, joint, total),
+                        )
+                    )
+                if config.singleton_rhs or len(passed) < 2:
+                    break  # a join needs two consequents
+                consequents = list(join_prefix(passed))
+    except KeyError as missing:
+        raise FrequentSetError(
+            f"frequent sets are not downward closed: missing subset "
+            f"{missing.args[0]}"
+        ) from None
     out.sort(key=ORDERINGS[config.ordering])
     return out
 
@@ -265,10 +282,6 @@ def write_rules_csv(
             writer.writerow(rule_row(position, rule, catalog, precision, extended))
 
 
-def _conviction_to_json(value: float) -> float | str:
-    return "inf" if math.isinf(value) else value
-
-
 def _conviction_from_json(value: float | str) -> float:
     return math.inf if value == "inf" else float(value)
 
@@ -285,6 +298,13 @@ class RuleSetDocument:
     rule_config: dict
 
 
+def _json_ids(items: Sequence[ItemId]) -> str:
+    """An id list as json.dumps(indent=2) renders it inside a rule."""
+    if not items:
+        return "[]"
+    return "[\n        " + ",\n        ".join(map(str, items)) + "\n      ]"
+
+
 def write_rules_json(
     rules: Sequence[AssociationRule],
     catalog: ItemCatalog,
@@ -295,33 +315,63 @@ def write_rules_json(
     rule_config: dict | None = None,
 ) -> None:
     """Full-fidelity export: exact counts, full-precision metrics, and
-    the catalog itself, so the file stands alone for prediction."""
-    document = {
-        "total": total,
-        "catalog": [catalog.render(i) for i in range(len(catalog))],
-        "column_sources": column_sources or {},
-        "mining": mining or {},
-        "rule_config": rule_config or {},
-        "rules": [
-            {
-                "lhs": list(rule.lhs.items),
-                "rhs": list(rule.rhs.items),
-                "lhs_count": rule.lhs.count,
-                "rhs_count": rule.rhs.count,
-                "count": rule.count,
-                "support": rule.support,
-                "confidence": rule.confidence,
-                "coverage": rule.coverage,
-                "lift": rule.lift,
-                "conviction": _conviction_to_json(rule.conviction),
-                "leverage": rule.leverage,
-            }
-            for rule in rules
-        ],
-    }
+    the catalog itself, so the file stands alone for prediction.
+
+    The bytes are those of json.dump(document, indent=2, allow_nan=False)
+    plus a newline, where document holds the header keys and then
+    "rules". The header goes through json.dumps; each rule is streamed
+    from one template (ids and counts as ints, metrics as float repr,
+    infinite conviction as "inf"), because json's indenting encoder is
+    its pure-Python one. A NaN metric, or an infinite one other than
+    conviction, raises ValueError as json would.
+    """
+    header = json.dumps(
+        {
+            "total": total,
+            "catalog": [catalog.render(i) for i in range(len(catalog))],
+            "column_sources": column_sources or {},
+            "mining": mining or {},
+            "rule_config": rule_config or {},
+            "rules": [],
+        },
+        indent=2,
+        allow_nan=False,
+    )
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        json.dump(document, handle, indent=2, allow_nan=False)
-        handle.write("\n")
+        if not rules:
+            handle.write(header + "\n")
+            return
+        handle.write(header[: -len("[]\n}")] + "[\n")
+        separator = ""
+        for rule in rules:
+            floats = (
+                rule.support, rule.confidence, rule.coverage, rule.lift, rule.leverage
+            )  # fmt: skip
+            if not all(map(math.isfinite, floats)) or math.isnan(rule.conviction):
+                raise ValueError("Out of range float values are not JSON compliant")
+            support, confidence, coverage, lift, leverage = map(float.__repr__, floats)
+            conviction = (
+                '"inf"'
+                if math.isinf(rule.conviction)
+                else float.__repr__(rule.conviction)
+            )
+            handle.write(
+                f"""{separator}    {{
+      "lhs": {_json_ids(rule.lhs.items)},
+      "rhs": {_json_ids(rule.rhs.items)},
+      "lhs_count": {rule.lhs.count},
+      "rhs_count": {rule.rhs.count},
+      "count": {rule.count},
+      "support": {support},
+      "confidence": {confidence},
+      "coverage": {coverage},
+      "lift": {lift},
+      "conviction": {conviction},
+      "leverage": {leverage}
+    }}"""
+            )
+            separator = ",\n"
+        handle.write("\n  ]\n}\n")
 
 
 def read_rules_json(path: str | os.PathLike) -> RuleSetDocument:
@@ -329,7 +379,7 @@ def read_rules_json(path: str | os.PathLike) -> RuleSetDocument:
     required key, holds a value of the wrong shape or names an item id
     outside its catalog raises IngestError naming the path. Metrics are
     converted to float, not re-derived from the counts."""
-    with open(path, "r", encoding="utf-8") as handle:
+    with open(path, "r", encoding="utf-8") as handle, utf8_input(path):
         try:
             document = json.load(handle)
         except (json.JSONDecodeError, RecursionError) as exc:  # or nested too deep
@@ -340,24 +390,30 @@ def read_rules_json(path: str | os.PathLike) -> RuleSetDocument:
         catalog = ItemCatalog(
             tuple(parse_item(token) for token in document["catalog"])
         )
-        rules = tuple(
-            AssociationRule(
-                lhs=Itemset(tuple(r["lhs"]), r["lhs_count"]),
-                rhs=Itemset(tuple(r["rhs"]), r["rhs_count"]),
-                count=r["count"],
-                support=float(r["support"]),
-                confidence=float(r["confidence"]),
-                coverage=float(r["coverage"]),
-                lift=float(r["lift"]),
-                conviction=_conviction_from_json(r["conviction"]),
-                leverage=float(r["leverage"]),
+        rules = []
+        ids: list = []  # every item id of every rule, checked below
+        for r in document["rules"]:
+            lhs = Itemset(tuple(r["lhs"]), r["lhs_count"])
+            rhs = Itemset(tuple(r["rhs"]), r["rhs_count"])
+            ids += lhs.items
+            ids += rhs.items
+            rules.append(
+                AssociationRule(
+                    lhs=lhs,
+                    rhs=rhs,
+                    count=r["count"],
+                    support=float(r["support"]),
+                    confidence=float(r["confidence"]),
+                    coverage=float(r["coverage"]),
+                    lift=float(r["lift"]),
+                    conviction=_conviction_from_json(r["conviction"]),
+                    leverage=float(r["leverage"]),
+                )
             )
-            for r in document["rules"]
-        )
         parsed = RuleSetDocument(
             catalog=catalog,
             total=document["total"],
-            rules=rules,
+            rules=tuple(rules),
             column_sources=dict(document.get("column_sources") or {}),
             mining=dict(document.get("mining") or {}),
             rule_config=dict(document.get("rule_config") or {}),
@@ -366,17 +422,20 @@ def read_rules_json(path: str | os.PathLike) -> RuleSetDocument:
         raise IngestError(f"{path}: missing key {exc.args[0]!r}") from None
     except (TypeError, ValueError, AttributeError, SchemaError) as exc:
         raise IngestError(f"{path}: malformed rules document: {exc}") from None
+    # Types are tested apart from the set, because 1.0 and True equal 1
+    # and hash alike; with only ints, the set test cannot meet an
+    # unhashable id.
     valid_ids = frozenset(range(len(catalog)))
-    for index, rule in enumerate(rules):
-        items = rule.lhs.items + rule.rhs.items
-        try:
-            if valid_ids.issuperset(items):  # one C-level check per rule
-                continue
-        except TypeError:  # an unhashable id, such as a nested list
-            pass
-        bad = next(i for i in items if type(i) is not int or i not in valid_ids)
-        raise IngestError(
-            f"{path}: rule {index}: item id {bad!r} is not in the "
-            f"{len(catalog)}-item catalog"
-        )
+    if not (set(map(type, ids)) <= {int} and valid_ids.issuperset(ids)):
+        for index, rule in enumerate(rules):
+            for item in rule.lhs.items + rule.rhs.items:
+                if type(item) is not int:
+                    problem = "not an integer"
+                elif item not in valid_ids:
+                    problem = f"not in the {len(catalog)}-item catalog"
+                else:
+                    continue
+                raise IngestError(
+                    f"{path}: rule {index}: item id {item!r} is {problem}"
+                )
     return parsed

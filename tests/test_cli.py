@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 import shutil
 import subprocess
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -250,6 +251,30 @@ def test_non_utf8_file_exits_1(uniform_csv, tmp_path, capsys, name):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("name", ["rules.csv", "rules.json", "manifest.json", "table.csv", "schema.json"])
+def test_non_utf8_error_names_the_file(uniform_csv, tmp_path, capsys, name):
+    path = tmp_path / name
+    path.write_bytes(b"a,b\n\xff\xfe,1\n")
+    argv = {
+        "rules.csv": ["report", "--input", str(path)],
+        "rules.json": ["predict", "--input", str(path), "--target", "a"],
+        "manifest.json": ["mine", "--manifest", str(path)],
+        "table.csv": ["mine", "--input", str(path), "--out-dir", str(tmp_path / "out")],
+        "schema.json": ["mine", "--input", str(uniform_csv), "--schema", str(path)],
+    }[name]
+    assert cli.main(argv) == 1
+    assert capsys.readouterr().err.startswith(f"error: {path}: not UTF-8: ")
+
+
+def test_replayed_non_utf8_input_is_named(uniform_csv, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert _mine(uniform_csv, out) == 0
+    uniform_csv.write_bytes(b"a,b\n\xff,1\n")
+    capsys.readouterr()
+    assert cli.main(["mine", "--manifest", str(out / "manifest.json")]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {uniform_csv}: not UTF-8: ")
+
+
 @pytest.mark.parametrize(
     "argv, code",
     [
@@ -289,6 +314,39 @@ def test_schema_with_non_list_missing_markers_exits_2(uniform_csv, tmp_path, cap
     assert capsys.readouterr().err == (
         f"error: {schema}: 'missing_markers' must be a list of strings\n"
     )
+
+
+def test_failed_mine_keeps_the_previous_outputs(uniform_csv, tmp_path, capsys, monkeypatch):
+    out = tmp_path / "out"
+    assert _mine(uniform_csv, out, "--format", "json") == 0
+    before = {path.name: path.read_bytes() for path in out.iterdir()}
+
+    def write_part_then_fail(rules, catalog, total, path, **keywords):
+        Path(path).write_text("{", encoding="utf-8")
+        raise OSError("disk full")
+
+    monkeypatch.setattr(cli, "write_rules_json", write_part_then_fail)
+    capsys.readouterr()
+    # --precision 2 changes rules.csv and the manifest, were they rewritten
+    assert _mine(uniform_csv, out, "--format", "json", "--precision", "2") == 1
+    assert capsys.readouterr().err == "error: disk full\n"
+    assert {path.name: path.read_bytes() for path in out.iterdir()} == before
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+def test_golden_outputs_are_byte_identical(tmp_path):
+    # The expected files were written by the generator that tested every
+    # split and by json.dump(indent=2); the outputs must not change.
+    out = tmp_path / "out"
+    argv = [
+        "mine", "--input", str(GOLDEN / "table.csv"), "--schema", str(GOLDEN / "schema.json"),
+        "--out-dir", str(out), "--format", "json", "--min-support", "0.2", "--min-confidence", "0.6",
+    ]  # fmt: skip
+    assert cli.main(argv) == 0
+    for name in ("itemsets.csv", "rules.csv", "rules.json"):
+        assert (out / name).read_bytes() == (GOLDEN / name).read_bytes(), name
 
 
 def test_missing_input_exits_1(tmp_path, capsys):
@@ -507,6 +565,14 @@ def test_report_missing_file(tmp_path):
         ('{"total": 4, "catalog": [1], "rules": []}', "malformed rules document"),
         ('{"total": 4, "catalog": ["a=1", "a=1"], "rules": []}',
          "duplicate catalog entry a=1"),
+        ('{"total": 4, "catalog": ["a=1", "b=1"], "rules": [{"lhs": [0.0], "rhs": [1], '
+         '"lhs_count": 4, "rhs_count": 4, "count": 4, "support": 1.0, "confidence": 1.0, '
+         '"coverage": 1.0, "lift": 1.0, "conviction": 1.0, "leverage": 0.0}]}',
+         "rule 0: item id 0.0 is not an integer"),
+        ('{"total": 4, "catalog": ["a=1", "b=1"], "rules": [{"lhs": [], "rhs": [true], '
+         '"lhs_count": 4, "rhs_count": 4, "count": 4, "support": 1.0, "confidence": 1.0, '
+         '"coverage": 1.0, "lift": 1.0, "conviction": 1.0, "leverage": 0.0}]}',
+         "rule 0: item id True is not an integer"),
     ],
 )
 def test_malformed_rules_json_exits_1(tmp_path, capsys, content, message):

@@ -1,9 +1,11 @@
 from __future__ import annotations
 
+import json
 import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rulemine import (
     ORDERINGS,
@@ -11,6 +13,7 @@ from rulemine import (
     ConfigError,
     FrequentSets,
     FrequentSetError,
+    ItemCatalog,
     Itemset,
     MetricError,
     MiningConfig,
@@ -291,3 +294,96 @@ def test_render_side_and_rule(cicy5_db):
         **compute_metrics(1358, 4812, 1312, 12433)._asdict(),
     )
     assert render_rule(rule, catalog) == "{item5=4} => {item1=3}"
+
+
+# Column labels: non-empty, no whitespace and none of "={},", any script.
+_LABELS = st.text(
+    st.characters(blacklist_categories=("Cs", "Z", "Cc"), blacklist_characters="={},"),
+    min_size=1,
+    max_size=6,
+).filter(lambda label: not any(c.isspace() for c in label))
+_FLOATS = st.floats(allow_nan=False, allow_infinity=False)
+_SCALARS = st.none() | st.booleans() | st.integers() | _FLOATS | st.text(max_size=6)
+
+
+@st.composite
+def _rule_exports(draw):
+    """(rules, catalog, total, keywords) for write_rules_json: empty rule
+    lists, empty LHSs, infinite conviction and non-ASCII labels and sources
+    all occur."""
+    labels = draw(st.lists(_LABELS, min_size=1, max_size=4, unique=True))
+    catalog = ItemCatalog(
+        tuple(
+            (label, value)
+            for label in labels
+            for value in draw(st.lists(st.integers(-3, 2**70), min_size=1, max_size=3, unique=True))
+        )
+    )
+    ids = st.lists(st.integers(0, len(catalog) - 1), max_size=3, unique=True).map(sorted).map(tuple)
+    counts = st.integers(0, 10**12)
+    rules = draw(
+        st.lists(
+            st.builds(
+                AssociationRule,
+                lhs=st.builds(Itemset, ids, counts),
+                rhs=st.builds(Itemset, ids.filter(bool), counts),
+                count=counts,
+                support=_FLOATS,
+                confidence=_FLOATS,
+                coverage=_FLOATS,
+                lift=_FLOATS,
+                conviction=_FLOATS | st.just(math.inf),
+                leverage=_FLOATS,
+            ),
+            max_size=4,
+        )
+    )
+    keywords = {
+        "column_sources": draw(st.dictionaries(st.sampled_from(labels), st.text(max_size=6))),
+        "mining": draw(st.dictionaries(st.text(max_size=6), _SCALARS, max_size=3)),
+        "rule_config": draw(st.dictionaries(st.text(max_size=6), _SCALARS, max_size=3)),
+    }
+    return rules, catalog, draw(counts), keywords
+
+
+@settings(max_examples=200, deadline=None)
+@given(export=_rule_exports())
+def test_write_rules_json_bytes_match_json_dumps(tmp_path_factory, export):
+    rules, catalog, total, keywords = export
+    path = tmp_path_factory.mktemp("json") / "rules.json"
+    write_rules_json(rules, catalog, total, path, **keywords)
+    document = {
+        "total": total,
+        "catalog": [catalog.render(i) for i in range(len(catalog))],
+        **keywords,
+        "rules": [
+            {
+                "lhs": list(rule.lhs.items),
+                "rhs": list(rule.rhs.items),
+                "lhs_count": rule.lhs.count,
+                "rhs_count": rule.rhs.count,
+                "count": rule.count,
+                "support": rule.support,
+                "confidence": rule.confidence,
+                "coverage": rule.coverage,
+                "lift": rule.lift,
+                "conviction": "inf" if math.isinf(rule.conviction) else rule.conviction,
+                "leverage": rule.leverage,
+            }
+            for rule in rules
+        ],
+    }
+    expected = json.dumps(document, indent=2, allow_nan=False) + "\n"
+    assert path.read_bytes() == expected.encode("utf-8")
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("support", math.nan), ("lift", math.inf), ("leverage", -math.inf), ("conviction", math.nan)],
+)
+def test_write_rules_json_rejects_non_finite_metrics(tmp_path, field, value):
+    catalog = ItemCatalog((("a", 1), ("b", 1)))
+    metrics = compute_metrics(3, 3, 3, 4)._replace(**{field: value})
+    rule = AssociationRule(Itemset((0,), 3), Itemset((1,), 3), 3, *metrics)
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        write_rules_json([rule], catalog, 4, tmp_path / "rules.json")
