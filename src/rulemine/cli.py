@@ -140,6 +140,12 @@ def _check_precision(precision: object) -> None:
         raise ConfigError(f"--precision must be an integer in [0, {MAX_PRECISION}]")
 
 
+def _check_path(flag: str, path: object) -> None:
+    # open() raises ValueError, not OSError, on a NUL
+    if not isinstance(path, str) or "\0" in path:
+        raise ConfigError(f"{flag} must be a path, got {path!r}")
+
+
 def _validate_mine_args(args: argparse.Namespace) -> None:
     """Check the mine flags before any file is read. A replayed manifest
     may hold any JSON value, so types are checked along with ranges."""
@@ -169,8 +175,7 @@ def _validate_mine_args(args: argparse.Namespace) -> None:
         ("--schema", args.schema),
         ("--out-dir", args.out_dir),
     ):
-        if not isinstance(path, str) or "\0" in path:
-            raise ConfigError(f"{flag} must be a path, got {path!r}")
+        _check_path(flag, path)
 
 
 def cmd_mine(args: argparse.Namespace) -> int:
@@ -281,6 +286,8 @@ def cmd_mine(args: argparse.Namespace) -> int:
         ) as handle:
             json.dump(manifest, handle, indent=2)
             handle.write("\n")
+        if rules_json_path is None:  # a stale one would outlive this run
+            (out_dir / "rules.json").unlink(missing_ok=True)
         for path in finals:
             os.replace(staged[path], path)
     finally:
@@ -356,7 +363,8 @@ def cmd_report(args: argparse.Namespace) -> int:
     if args.top < 0:
         raise ConfigError("--top must be non-negative")
     _check_precision(args.precision)
-    path = str(args.input)
+    _check_path("--input", args.input)
+    path = args.input
     if path.endswith(".json"):
         document = read_rules_json(path)
         extended = not args.base_layout
@@ -381,7 +389,8 @@ def cmd_report(args: argparse.Namespace) -> int:
 def cmd_predict(args: argparse.Namespace) -> int:
     if args.top is not None and args.top < 0:
         raise ConfigError("--top must be non-negative")
-    document = read_rules_json(str(args.input))
+    _check_path("--input", args.input)
+    document = read_rules_json(args.input)
     catalog = document.catalog
 
     known_ids = [catalog.parse(token) for token in args.known]
@@ -394,7 +403,11 @@ def cmd_predict(args: argparse.Namespace) -> int:
                 target = label
                 break
 
-    predictions = predict(known_ids, document.rules, target, catalog)
+    # predict reads only these; the rest of the file stays unbuilt
+    rules = document.rules.with_single_rhs_in(
+        item for item, (column, _) in enumerate(catalog) if column == target
+    )
+    predictions = predict(known_ids, rules, target, catalog)
     if args.top is not None:
         predictions = predictions[: args.top]
     payload = {

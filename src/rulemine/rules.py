@@ -21,10 +21,13 @@ from __future__ import annotations
 import csv
 import json
 import math
+import operator
 import os
+import reprlib
 from dataclasses import dataclass
+from functools import reduce
 from itertools import filterfalse
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import (
     ConfigError,
@@ -282,17 +285,13 @@ def write_rules_csv(
             writer.writerow(rule_row(position, rule, catalog, precision, extended))
 
 
-def _conviction_from_json(value: float | str) -> float:
-    return math.inf if value == "inf" else float(value)
-
-
 @dataclass(frozen=True)
 class RuleSetDocument:
     """Everything a rules JSON file carries, reconstructed on load."""
 
     catalog: ItemCatalog
     total: int
-    rules: tuple[AssociationRule, ...]
+    rules: StoredRules
     column_sources: dict[str, str]
     mining: dict
     rule_config: dict
@@ -374,11 +373,152 @@ def write_rules_json(
         handle.write("\n  ]\n}\n")
 
 
+def _rule_from_json(rule: dict) -> AssociationRule:
+    """The rule a checked rule object holds. Metrics are converted to
+    float, not re-derived from the counts."""
+    conviction = rule["conviction"]
+    return AssociationRule(
+        Itemset(tuple(rule["lhs"]), rule["lhs_count"]),
+        Itemset(tuple(rule["rhs"]), rule["rhs_count"]),
+        rule["count"],
+        float(rule["support"]),
+        float(rule["confidence"]),
+        float(rule["coverage"]),
+        float(rule["lift"]),
+        math.inf if conviction == "inf" else float(conviction),
+        float(rule["leverage"]),
+    )
+
+
+class StoredRules(Sequence[AssociationRule]):
+    """The rules of a rules JSON file: a read-only sequence over their
+    checked rule objects that builds a rule only when it is read. len()
+    builds nothing and a slice builds only its own rules. Compares equal
+    to a tuple of the same rules."""
+
+    __slots__ = ("_objects",)
+
+    def __init__(self, objects: list[dict]) -> None:
+        self._objects = objects
+
+    def __len__(self) -> int:
+        return len(self._objects)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return tuple(map(_rule_from_json, self._objects[index]))
+        return _rule_from_json(self._objects[index])
+
+    def __iter__(self) -> Iterator[AssociationRule]:
+        return map(_rule_from_json, self._objects)
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, (tuple, StoredRules)):
+            return tuple(self) == tuple(other)
+        return NotImplemented
+
+    def with_single_rhs_in(self, items: Iterable[ItemId]) -> StoredRules:
+        """The rules whose RHS is one item of `items`, in file order,
+        picked without building any rule."""
+        wanted = frozenset(items)
+        return StoredRules(
+            [
+                rule
+                for rule in self._objects
+                if len(rhs := rule["rhs"]) == 1 and rhs[0] in wanted
+            ]
+        )
+
+
+def _is_number(value: object) -> bool:
+    """A JSON number that float() takes: not a bool, nor an int past the
+    float range."""
+    if type(value) is not int:
+        return type(value) is float
+    try:
+        float(value)
+    except OverflowError:
+        return False
+    return True
+
+
+def _check_rules(path: str | os.PathLike, rules: object, catalog_size: int) -> None:
+    """Check every rule object of a rules document, one key at a time
+    across all rules. Each test runs over all of a key's values at once;
+    only a test that fails walks them again to find the first rule at
+    fault, which raises IngestError "<path>: rule <i>: <problem>"."""
+    if type(rules) is not list:
+        raise IngestError(f"{path}: malformed rules document: rules must be a list")
+
+    def reject(column: list, ok: Callable[[object], bool], problem: str) -> None:
+        for index, value in enumerate(column):
+            if not ok(value):
+                raise IngestError(
+                    f"{path}: rule {index}: {problem}, got {reprlib.repr(value)}"
+                )
+
+    def values(key: str) -> list:
+        try:
+            return list(map(operator.itemgetter(key), rules))
+        except (KeyError, TypeError):  # a rule lacks the key or is no object
+            reject(rules, lambda rule: type(rule) is dict,
+                   "malformed rules document: a rule must be a JSON object")  # fmt: skip
+            index = next(i for i, rule in enumerate(rules) if key not in rule)
+            raise IngestError(f"{path}: rule {index}: missing key {key!r}") from None
+
+    sides = []
+    for key in ("lhs", "rhs"):
+        column = values(key)
+        if not set(map(type, column)) <= {list}:
+            reject(column, lambda side: type(side) is list,
+                   f"malformed rules document: {key} must be a list")  # fmt: skip
+        sides.append(column)
+    lhs, rhs = sides
+    ids = reduce(operator.iadd, lhs + rhs, [])
+    # Types are tested apart from the range, because 1.0 and True equal 1
+    # and hash alike; with only ints, the range test cannot meet an
+    # unhashable id.
+    if not (
+        set(map(type, ids)) <= {int} and frozenset(range(catalog_size)).issuperset(ids)
+    ):
+        for index, items in enumerate(map(operator.add, lhs, rhs)):
+            for item in items:
+                if type(item) is not int:
+                    problem = "not an integer"
+                elif not 0 <= item < catalog_size:
+                    problem = f"not in the {catalog_size}-item catalog"
+                else:
+                    continue
+                raise IngestError(
+                    f"{path}: rule {index}: item id {item!r} is {problem}"
+                )
+    for key in ("lhs_count", "rhs_count", "count"):
+        column = values(key)
+        if not set(map(type, column)) <= {int} or min(column, default=0) < 0:
+            reject(column, lambda count: type(count) is int and count >= 0,
+                   f"{key} must be a non-negative integer")  # fmt: skip
+    for key in ("support", "confidence", "coverage", "lift", "conviction", "leverage"):
+        try:  # the common case, without keeping the values
+            if set(map(type, map(operator.itemgetter(key), rules))) <= {float}:
+                continue
+        except KeyError:
+            pass  # values(key) names the rule
+        if key == "conviction":  # written as "inf" when infinite
+            ok = lambda value: value == "inf" or _is_number(value)  # noqa: E731
+            problem = 'conviction must be a number or "inf"'
+        else:
+            ok, problem = _is_number, f"{key} must be a number"
+        column = values(key)
+        if not all(map(ok, column)):
+            reject(column, ok, problem)
+
+
 def read_rules_json(path: str | os.PathLike) -> RuleSetDocument:
-    """Load a write_rules_json file; a file that is not valid JSON, lacks a
-    required key, holds a value of the wrong shape or names an item id
-    outside its catalog raises IngestError naming the path. Metrics are
-    converted to float, not re-derived from the counts."""
+    """Load a write_rules_json file. Every rule is checked here, but built
+    only when read from the document's rules. A file that is not valid
+    JSON, lacks a required key, holds a value of the wrong shape or type,
+    or names an item id outside its catalog raises IngestError naming the
+    path, and the rule when one is at fault."""
     with open(path, "r", encoding="utf-8") as handle, utf8_input(path):
         try:
             document = json.load(handle)
@@ -390,30 +530,12 @@ def read_rules_json(path: str | os.PathLike) -> RuleSetDocument:
         catalog = ItemCatalog(
             tuple(parse_item(token) for token in document["catalog"])
         )
-        rules = []
-        ids: list = []  # every item id of every rule, checked below
-        for r in document["rules"]:
-            lhs = Itemset(tuple(r["lhs"]), r["lhs_count"])
-            rhs = Itemset(tuple(r["rhs"]), r["rhs_count"])
-            ids += lhs.items
-            ids += rhs.items
-            rules.append(
-                AssociationRule(
-                    lhs=lhs,
-                    rhs=rhs,
-                    count=r["count"],
-                    support=float(r["support"]),
-                    confidence=float(r["confidence"]),
-                    coverage=float(r["coverage"]),
-                    lift=float(r["lift"]),
-                    conviction=_conviction_from_json(r["conviction"]),
-                    leverage=float(r["leverage"]),
-                )
-            )
-        parsed = RuleSetDocument(
+        rules = document["rules"]
+        _check_rules(path, rules, len(catalog))
+        return RuleSetDocument(
             catalog=catalog,
             total=document["total"],
-            rules=tuple(rules),
+            rules=StoredRules(rules),
             column_sources=dict(document.get("column_sources") or {}),
             mining=dict(document.get("mining") or {}),
             rule_config=dict(document.get("rule_config") or {}),
@@ -422,20 +544,3 @@ def read_rules_json(path: str | os.PathLike) -> RuleSetDocument:
         raise IngestError(f"{path}: missing key {exc.args[0]!r}") from None
     except (TypeError, ValueError, AttributeError, SchemaError) as exc:
         raise IngestError(f"{path}: malformed rules document: {exc}") from None
-    # Types are tested apart from the set, because 1.0 and True equal 1
-    # and hash alike; with only ints, the set test cannot meet an
-    # unhashable id.
-    valid_ids = frozenset(range(len(catalog)))
-    if not (set(map(type, ids)) <= {int} and valid_ids.issuperset(ids)):
-        for index, rule in enumerate(rules):
-            for item in rule.lhs.items + rule.rhs.items:
-                if type(item) is not int:
-                    problem = "not an integer"
-                elif item not in valid_ids:
-                    problem = f"not in the {len(catalog)}-item catalog"
-                else:
-                    continue
-                raise IngestError(
-                    f"{path}: rule {index}: item id {item!r} is {problem}"
-                )
-    return parsed

@@ -333,6 +333,30 @@ def test_failed_mine_keeps_the_previous_outputs(uniform_csv, tmp_path, capsys, m
     assert {path.name: path.read_bytes() for path in out.iterdir()} == before
 
 
+def test_csv_run_removes_a_stale_rules_json(uniform_csv, tmp_path, capsys, monkeypatch):
+    out = tmp_path / "out"
+    assert _mine(uniform_csv, out, "--format", "json") == 0
+    before = {path.name: path.read_bytes() for path in out.iterdir()}
+
+    def fail(*args, **keywords):
+        raise OSError("disk full")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "write_rules_csv", fail)
+        assert _mine(uniform_csv, out) == 1
+    assert {path.name: path.read_bytes() for path in out.iterdir()} == before
+
+    assert _mine(uniform_csv, out) == 0
+    assert sorted(path.name for path in out.iterdir()) == [
+        "itemsets.csv", "manifest.json", "rules.csv"
+    ]  # fmt: skip
+    manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+    assert manifest["outputs"]["rules_json"] is None
+    capsys.readouterr()
+    assert cli.main(["report", "--input", str(out / "rules.json")]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 GOLDEN = Path(__file__).parent / "golden"
 
 
@@ -347,6 +371,22 @@ def test_golden_outputs_are_byte_identical(tmp_path):
     assert cli.main(argv) == 0
     for name in ("itemsets.csv", "rules.csv", "rules.json"):
         assert (out / name).read_bytes() == (GOLDEN / name).read_bytes(), name
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (["report", "--top", "5"], "report_top5.txt"),
+        (["predict", "--known", "größe=0", "--known", "x=2", "--target", "farbe"], "predict.json"),
+    ],
+    ids=["report", "predict"],
+)
+def test_golden_queries_are_byte_identical(capsys, argv, expected):
+    # The expected stdout was written by the reader that built every rule
+    # of the file.
+    argv = [argv[0], "--input", str(GOLDEN / "rules.json"), *argv[1:]]
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out == (GOLDEN / expected).read_text(encoding="utf-8")
 
 
 def test_missing_input_exits_1(tmp_path, capsys):
@@ -549,6 +589,19 @@ def test_report_missing_file(tmp_path):
     assert cli.main(["report", "--input", str(tmp_path / "no.csv")]) == 1
 
 
+def _one_rule_document(rules: int = 1, omit: str | None = None, **fields) -> str:
+    """A rules document with `rules` copies of one rule, the last of them
+    with `fields` replaced and `omit` deleted."""
+    rule = {
+        "lhs": [0], "rhs": [1], "lhs_count": 4, "rhs_count": 4, "count": 4,
+        "support": 1.0, "confidence": 1.0, "coverage": 1.0, "lift": 1.0,
+        "conviction": 1.0, "leverage": 0.0,
+    }  # fmt: skip
+    last = {key: value for key, value in {**rule, **fields}.items() if key != omit}
+    document = {"total": 4, "catalog": ["a=1", "b=1"], "rules": [rule] * (rules - 1) + [last]}
+    return json.dumps(document)
+
+
 @pytest.mark.parametrize(
     "content, message",
     [
@@ -573,6 +626,23 @@ def test_report_missing_file(tmp_path):
          '"lhs_count": 4, "rhs_count": 4, "count": 4, "support": 1.0, "confidence": 1.0, '
          '"coverage": 1.0, "lift": 1.0, "conviction": 1.0, "leverage": 0.0}]}',
          "rule 0: item id True is not an integer"),
+        (_one_rule_document(count="lots"),
+         "rule 0: count must be a non-negative integer, got 'lots'"),
+        (_one_rule_document(lhs_count=-7),
+         "rule 0: lhs_count must be a non-negative integer, got -7"),
+        (_one_rule_document(rhs_count=True),
+         "rule 0: rhs_count must be a non-negative integer, got True"),
+        (_one_rule_document(count=4.0),
+         "rule 0: count must be a non-negative integer, got 4.0"),
+        (_one_rule_document(support="0.5"), "rule 0: support must be a number, got '0.5'"),
+        (_one_rule_document(leverage=None), "rule 0: leverage must be a number, got None"),
+        (_one_rule_document(lift=10**400), "rule 0: lift must be a number, got 1000"),
+        (_one_rule_document(conviction="Infinity"),
+         "rule 0: conviction must be a number or \"inf\", got 'Infinity'"),
+        (_one_rule_document(omit="count"), "rule 0: missing key 'count'"),
+        (_one_rule_document(rules=2, confidence=[1.0]),
+         "rule 1: confidence must be a number, got [1.0]"),
+        ('{"total": 4, "catalog": ["a=1"], "rules": {}}', "rules must be a list"),
     ],
 )
 def test_malformed_rules_json_exits_1(tmp_path, capsys, content, message):
@@ -863,6 +933,61 @@ def test_no_file_content_gives_a_traceback(real_outputs, capsys, data):
         assert code in (0, 1, 2)
         if code:
             assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+_NUMBERS = st.integers(-2, 12) | st.integers(-(2**70), 2**70)
+# Each flag's values: ones the real_outputs run accepts, arbitrary text,
+# and huge or negative ints. "OUT/" stands for the run's output directory.
+_FLAG_VALUES = {
+    "--input": st.sampled_from(["OUT/rules.json", "OUT/rules.csv", "OUT", "OUT/x.json", "OUT/\0.json"]),
+    "--top": _NUMBERS.map(str),
+    "--precision": _NUMBERS.map(str),
+    "--known": st.sampled_from(["a=0", "a=1", "b=0", "b=7", "a", "=0"]),
+    "--target": st.sampled_from(["a", "b", "c"]),
+}
+_QUERY_FLAGS = {
+    "report": ["--input", "--top", "--precision", "--base-layout"],
+    "predict": ["--input", "--known", "--target", "--top"],
+}
+
+
+@st.composite
+def _query_argv(draw, out: Path) -> list[str]:
+    """report or predict argv: the required flags, then real flags in any
+    order and number, their values now and then arbitrary text, and at
+    times an unknown flag, a lone flag or a stray word. A value follows
+    its flag as "--flag=value" or as the next word."""
+    command = draw(st.sampled_from(sorted(_QUERY_FLAGS)))
+    flags = _QUERY_FLAGS[command]
+    required = ["--input"] + (["--target"] if command == "predict" else [])
+    argv = [command]
+    for flag in required + draw(st.lists(st.sampled_from(flags), max_size=5)):
+        if flag == "--base-layout":
+            argv.append(flag)
+            continue
+        value = draw(_FLAG_VALUES[flag] | _FLAG_VALUES[flag] | st.text(max_size=10))
+        value = value.replace("OUT", str(out))
+        argv += draw(st.sampled_from([[f"{flag}={value}"], [flag, value]]))
+    if draw(st.integers(0, 4)) == 0:
+        position = draw(st.integers(1, len(argv)))
+        argv.insert(position, draw(st.sampled_from(["--bogus", "-x", "--", "--top"]) | st.text(max_size=6)))
+    return argv
+
+
+@settings(
+    max_examples=300,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(data=st.data())
+def test_no_query_argv_gives_a_traceback(real_outputs, capsys, data):
+    argv = data.draw(_query_argv(real_outputs / "out"))
+    capsys.readouterr()
+    code = cli.main(argv)
+    err = capsys.readouterr().err
+    assert code in (0, 1, 2)
+    if code == 1:
+        assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
 def test_console_script_is_installed():

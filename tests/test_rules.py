@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import math
 from fractions import Fraction
@@ -17,17 +19,21 @@ from rulemine import (
     Itemset,
     MetricError,
     MiningConfig,
+    PredictionError,
     RuleConfig,
     build_database,
     compute_metrics,
     generate_rules,
     mine_frequent,
+    predict,
     read_rules_json,
     render_rule,
     render_side,
     write_rules_csv,
     write_rules_json,
 )
+from rulemine import cli
+from rulemine.rules import CSV_COLUMNS, CSV_COLUMNS_EXTENDED, rule_row
 
 
 def test_reference_metric_block():
@@ -375,6 +381,58 @@ def test_write_rules_json_bytes_match_json_dumps(tmp_path_factory, export):
     }
     expected = json.dumps(document, indent=2, allow_nan=False) + "\n"
     assert path.read_bytes() == expected.encode("utf-8")
+
+
+def _cli(argv: list[str]) -> tuple[int, str]:
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
+        code = cli.main(argv)
+    return code, stdout.getvalue()
+
+
+@settings(max_examples=100, deadline=None)
+@given(export=_rule_exports(), data=st.data())
+def test_queries_match_the_full_rule_list(tmp_path_factory, export, data):
+    # report and predict build only the rules they print or use; their
+    # answers must be those computed over every rule of the file.
+    rules, catalog, total, keywords = export
+    rules = rules * data.draw(st.integers(1, 4))  # past the drawn list's 4 rules
+    path = tmp_path_factory.mktemp("json") / "rules.json"
+    write_rules_json(rules, catalog, total, path, **keywords)
+
+    top = data.draw(st.integers(0, len(rules) + 2))
+    precision = data.draw(st.integers(0, 12))
+    extended = data.draw(st.booleans())
+    argv = ["report", f"--input={path}", f"--top={top}", f"--precision={precision}"]
+    code, out = _cli(argv + ([] if extended else ["--base-layout"]))
+    assert code == 0
+    header, *rows = (line.split() for line in out.splitlines())
+    assert header == list(CSV_COLUMNS_EXTENDED if extended else CSV_COLUMNS)
+    assert rows == [
+        rule_row(position, rule, catalog, precision, extended)
+        for position, rule in enumerate(rules[:top], start=1)
+    ]
+
+    known = data.draw(st.lists(st.integers(0, len(catalog) - 1), max_size=3))
+    target = data.draw(st.sampled_from(catalog.columns))
+    argv = ["predict", f"--input={path}", f"--target={target}"]
+    code, out = _cli(argv + [f"--known={catalog.render(item)}" for item in known])
+    try:
+        expected = predict(known, rules, target, catalog)
+    except PredictionError:
+        assert code == 2
+        return
+    assert code == 0
+    assert json.loads(out)["predictions"] == [
+        {
+            "value": p.value,
+            "item": catalog.render(p.item),
+            "confidence": p.confidence,
+            "support": p.support,
+            "rule": render_rule(p.rule, catalog),
+        }
+        for p in expected
+    ]
 
 
 @pytest.mark.parametrize(
