@@ -26,18 +26,14 @@ import csv
 import json
 import os
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
-from .errors import IngestError, SchemaError, utf8_input
-from .txdb import (
-    TransactionDatabase,
-    _check_label,
-    build_database,
-    parse_item,
-)
+from .errors import EmptyDatabaseError, IngestError, SchemaError, utf8_input
+from .txdb import TransactionDatabase, _check_label, build_database, parse_item
 
 DEFAULT_MISSING_MARKERS = frozenset({"", "NA", "?"})
 MISSING_POLICIES = ("drop_row", "partial_row")
+Row = tuple[int, list[tuple[str, int]]]  # (tid, [(label, value), ...])
 
 
 @dataclass(frozen=True)
@@ -175,10 +171,11 @@ def load_csv(
 ) -> TransactionDatabase:
     """Encode a header-bearing CSV into a transaction database.
 
-    schema=None derives a generic schema from the header. Unparseable
-    non-missing cells raise IngestError with file, line, and column; a
-    table with no surviving rows raises IngestError. When given, stats
-    is filled with rows_read / rows_dropped / rows_kept.
+    Rows stream into build_database as they are read. schema=None
+    derives a generic schema from the header. Unparseable non-missing
+    cells raise IngestError with file, line, and column; a table with
+    no surviving rows raises IngestError. When given, stats is filled
+    with rows_read / rows_dropped / rows_kept.
     """
     try:
         handle = open(path, "r", encoding="utf-8-sig", newline="")
@@ -208,56 +205,54 @@ def load_csv(
                     )
                 indices.append(hits[0])
 
-            drop_row = schema.missing_policy == "drop_row"
-            markers = schema.missing_markers
-            rows: list[tuple[int, list[tuple[str, int]]]] = []
-            rows_read = 0
-            dropped = 0
-            for lineno, record in enumerate(reader, start=2):
-                if not record:
-                    continue  # blank line
-                rows_read += 1
-                cells = []
-                any_missing = False
-                for index, (source, label) in zip(indices, schema.columns):
-                    cell = record[index].strip() if index < len(record) else ""
-                    if cell in markers:
-                        any_missing = True
-                        cells.append((source, label, None))
-                    else:
-                        cells.append((source, label, cell))
-                if any_missing and drop_row:
-                    dropped += 1
-                    continue
-                items = []
-                for source, label, cell in cells:
-                    if cell is None:
-                        continue
-                    try:
-                        value = int(cell)
-                    except ValueError:
-                        raise IngestError(
-                            f"{path}:{lineno}: column {source!r}: cannot parse "
-                            f"{cell!r} as an integer"
-                        ) from None
-                    items.append((label, value))
-                if not items:
-                    dropped += 1  # fully missing row under partial_row
-                    continue
-                rows.append((len(rows), items))
-            if stats is not None:
-                stats.update(
-                    rows_read=rows_read,
-                    rows_dropped=dropped,
-                    rows_kept=len(rows),
-                )
-            if not rows:
+            try:
+                return build_database(_csv_rows(path, reader, schema, indices, stats))
+            except EmptyDatabaseError:
                 raise IngestError(
                     f"{path}: no rows survived the {schema.missing_policy!r} policy"
-                )
+                ) from None
     except csv.Error as exc:  # e.g. a field past csv.field_size_limit()
         raise IngestError(f"{path}:{reader.line_num}: {exc}") from None
-    return build_database(rows)
+
+
+def _csv_rows(
+    path: str | os.PathLike,
+    reader: Iterable[list[str]],
+    schema: SchemaConfig,
+    indices: list[int],
+    stats: dict | None,
+) -> Iterator[Row]:
+    """Yield (tid, [(label, value), ...]) for each row that survives the
+    missing policy, as it is read; fill stats once the file is read."""
+    drop_row = schema.missing_policy == "drop_row"
+    markers = schema.missing_markers
+    pad = [""] * (max(indices) + 1)  # a short row's absent cells read as ""
+    rows_read = rows_kept = 0
+    for lineno, record in enumerate(reader, start=2):
+        if not record:
+            continue  # blank line
+        rows_read += 1
+        record += pad[len(record):]
+        cells = [record[index].strip() for index in indices]
+        if drop_row and not markers.isdisjoint(cells):
+            continue
+        items = []
+        for cell, (source, label) in zip(cells, schema.columns):
+            if cell in markers:
+                continue
+            try:
+                items.append((label, int(cell)))
+            except ValueError:
+                raise IngestError(
+                    f"{path}:{lineno}: column {source!r}: cannot parse "
+                    f"{cell!r} as an integer"
+                ) from None
+        if items:  # else fully missing under partial_row
+            yield rows_kept, items
+            rows_kept += 1
+    if stats is not None:
+        dropped = rows_read - rows_kept
+        stats.update(rows_read=rows_read, rows_dropped=dropped, rows_kept=rows_kept)
 
 
 def export_transactions(
@@ -282,28 +277,32 @@ def load_transactions(path: str | os.PathLike) -> TransactionDatabase:
     order inside each exported line is catalog order, so columns
     reappear in their original first-appearance order.
     """
-    rows: list[tuple[int, list[tuple[str, int]]]] = []
     try:
         handle = open(path, "r", encoding="utf-8")
     except OSError as exc:
         raise IngestError(f"cannot read {path}: {exc}") from None
     with handle, utf8_input(path):
-        for lineno, line in enumerate(handle, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            first, *tokens = line.split(",")
-            try:
-                tid = int(first)
-            except ValueError:
-                raise IngestError(
-                    f"{path}:{lineno}: expected a transaction id, got {first!r}"
-                ) from None
-            try:
-                items = [parse_item(token) for token in tokens]
-            except ValueError as exc:
-                raise IngestError(f"{path}:{lineno}: {exc}") from None
-            rows.append((tid, items))
-    if not rows:
-        raise IngestError(f"{path}: no transactions in file")
-    return build_database(rows)
+        try:
+            return build_database(_exported_rows(path, handle))
+        except EmptyDatabaseError:
+            raise IngestError(f"{path}: no transactions in file") from None
+
+
+def _exported_rows(path: str | os.PathLike, lines: Iterable[str]) -> Iterator[Row]:
+    """Yield (tid, [(column, value), ...]) for each non-blank line."""
+    for lineno, line in enumerate(lines, start=1):
+        line = line.rstrip("\n")
+        if not line:
+            continue
+        first, *tokens = line.split(",")
+        try:
+            tid = int(first)
+        except ValueError:
+            raise IngestError(
+                f"{path}:{lineno}: expected a transaction id, got {first!r}"
+            ) from None
+        try:
+            items = [parse_item(token) for token in tokens]
+        except ValueError as exc:
+            raise IngestError(f"{path}:{lineno}: {exc}") from None
+        yield tid, items

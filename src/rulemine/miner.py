@@ -155,9 +155,7 @@ def candidate_gen(level_k: Sequence[Itemset]) -> list[Itemset]:
 
 
 def count_candidates(
-    db: TransactionDatabase,
-    candidates: Sequence[Itemset],
-    workers: int = 1,
+    db: TransactionDatabase, candidates: Sequence[Itemset]
 ) -> list[Itemset]:
     """Annotate each candidate with its exact count, preserving order.
 
@@ -165,7 +163,7 @@ def count_candidates(
     AND of that prefix (an Eclat prefix class), so each candidate costs
     one more AND and a popcount. The prefix bitmap is rebuilt whenever
     the prefix changes, which keeps the counts exact for any order and
-    any mix of sizes. workers is accepted for old callers and ignored.
+    any mix of sizes.
     """
     vertical = db.vertical
     counted: list[Itemset] = []

@@ -25,7 +25,7 @@ import operator
 import os
 import reprlib
 from dataclasses import dataclass
-from functools import reduce
+from functools import partial, reduce
 from itertools import filterfalse
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
@@ -433,13 +433,10 @@ class StoredRules(Sequence[AssociationRule]):
 def _is_number(value: object) -> bool:
     """A JSON number that float() takes: not a bool, nor an int past the
     float range."""
-    if type(value) is not int:
-        return type(value) is float
     try:
-        float(value)
-    except OverflowError:
+        return type(value) is float or (type(value) is int and math.isfinite(value))
+    except OverflowError:  # an int past the float range
         return False
-    return True
 
 
 def _check_rules(path: str | os.PathLike, rules: object, catalog_size: int) -> None:
@@ -497,28 +494,28 @@ def _check_rules(path: str | os.PathLike, rules: object, catalog_size: int) -> N
         if not set(map(type, column)) <= {int} or min(column, default=0) < 0:
             reject(column, lambda count: type(count) is int and count >= 0,
                    f"{key} must be a non-negative integer")  # fmt: skip
-    for key in ("support", "confidence", "coverage", "lift", "conviction", "leverage"):
-        try:  # the common case, without keeping the values
-            if set(map(type, map(operator.itemgetter(key), rules))) <= {float}:
-                continue
-        except KeyError:
-            pass  # values(key) names the rule
-        if key == "conviction":  # written as "inf" when infinite
-            ok = lambda value: value == "inf" or _is_number(value)  # noqa: E731
-            problem = 'conviction must be a number or "inf"'
-        else:
-            ok, problem = _is_number, f"{key} must be a number"
-        column = values(key)
-        if not all(map(ok, column)):
-            reject(column, ok, problem)
+    for key in Metrics._fields:
+        column = numbers = values(key)
+        inf = ("inf",) if key == "conviction" else ()  # written for an infinite one
+        if inf and "inf" in column:
+            numbers = list(filter(partial(operator.ne, "inf"), column))
+        # one C-level pass per test; an overflowing sum only means "look closer"
+        if set(map(type, numbers)) <= {float} and math.isfinite(sum(numbers)):
+            continue
+        alternative = ' or "inf"' if inf else ""
+        reject(column, lambda value: value in inf or _is_number(value),
+               f"{key} must be a number{alternative}")  # fmt: skip
+        reject(column, lambda value: value in inf or math.isfinite(value),
+               f"{key} must be finite{alternative}")  # fmt: skip
 
 
 def read_rules_json(path: str | os.PathLike) -> RuleSetDocument:
     """Load a write_rules_json file. Every rule is checked here, but built
     only when read from the document's rules. A file that is not valid
     JSON, lacks a required key, holds a value of the wrong shape or type,
-    or names an item id outside its catalog raises IngestError naming the
-    path, and the rule when one is at fault."""
+    a total below 1 or a metric that is not finite (bar an "inf"
+    conviction), or names an item id outside its catalog raises
+    IngestError naming the path, and the rule when one is at fault."""
     with open(path, "r", encoding="utf-8") as handle, utf8_input(path):
         try:
             document = json.load(handle)
@@ -530,11 +527,16 @@ def read_rules_json(path: str | os.PathLike) -> RuleSetDocument:
         catalog = ItemCatalog(
             tuple(parse_item(token) for token in document["catalog"])
         )
+        total = document["total"]
+        if type(total) is not int or total < 1:
+            raise IngestError(
+                f"{path}: total must be a positive integer, got {reprlib.repr(total)}"
+            )
         rules = document["rules"]
         _check_rules(path, rules, len(catalog))
         return RuleSetDocument(
             catalog=catalog,
-            total=document["total"],
+            total=total,
             rules=StoredRules(rules),
             column_sources=dict(document.get("column_sources") or {}),
             mining=dict(document.get("mining") or {}),

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import math
 import shutil
 import subprocess
 from pathlib import Path
@@ -643,6 +644,20 @@ def _one_rule_document(rules: int = 1, omit: str | None = None, **fields) -> str
         (_one_rule_document(rules=2, confidence=[1.0]),
          "rule 1: confidence must be a number, got [1.0]"),
         ('{"total": 4, "catalog": ["a=1"], "rules": {}}', "rules must be a list"),
+        (_one_rule_document(support=math.nan), "rule 0: support must be finite, got nan"),
+        (_one_rule_document(lift=math.inf), "rule 0: lift must be finite, got inf"),
+        (_one_rule_document(rules=2, leverage=-math.inf),
+         "rule 1: leverage must be finite, got -inf"),
+        (_one_rule_document(coverage=0.5).replace("0.5", "1e400"),
+         "rule 0: coverage must be finite, got inf"),
+        (_one_rule_document(conviction=math.inf),
+         "rule 0: conviction must be finite or \"inf\", got inf"),
+        (_one_rule_document().replace('"total": 4', '"total": "x"'),
+         "total must be a positive integer, got 'x'"),
+        (_one_rule_document().replace('"total": 4', '"total": 0'),
+         "total must be a positive integer, got 0"),
+        (_one_rule_document().replace('"total": 4', '"total": true'),
+         "total must be a positive integer, got True"),
     ],
 )
 def test_malformed_rules_json_exits_1(tmp_path, capsys, content, message):

@@ -1,8 +1,10 @@
 from __future__ import annotations
 
+import csv
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rulemine import (
     CICY5_SCHEMA,
@@ -19,6 +21,7 @@ from rulemine import (
     load_transactions,
     resolve_schema,
 )
+from rulemine.ingest import MISSING_POLICIES
 
 
 def _write(tmp_path, text, name="table.csv"):
@@ -159,6 +162,25 @@ def test_no_surviving_rows(tmp_path):
     path = _write(tmp_path, "a,b\nNA,2\n?,3\n")
     with pytest.raises(IngestError, match="no rows survived"):
         load_csv(path)
+
+
+@pytest.mark.parametrize(
+    "tail, message",
+    [
+        (b"\xff,1\n", "not UTF-8: "),
+        (b"1," + b"9" * 200_000 + b"\n", ":30002: field larger than field limit"),
+    ],
+    ids=["non_utf8_byte", "oversized_field"],
+)
+def test_fault_deep_in_the_file(tmp_path, tail, message):
+    # far past the first read buffer, so the fault arises while the row
+    # builder is consuming rows; stats stay untouched
+    path = tmp_path / "table.csv"
+    path.write_bytes(b"a,b\n" + b"1,2\n" * 30_000 + tail)
+    stats: dict = {}
+    with pytest.raises(IngestError, match=message):
+        load_csv(path, stats=stats)
+    assert stats == {}
 
 
 def test_missing_file():
@@ -350,3 +372,90 @@ def test_negative_values_parse(tmp_path):
     path = _write(tmp_path, "a\n-5\n")
     db = load_csv(path)
     assert db.catalog.render(0) == "a=-5"
+
+
+def _reference_load(path, schema, stats):
+    """load_csv's documented rules, applied to the whole table at once."""
+    with open(path, encoding="utf-8-sig", newline="") as handle:
+        records = list(csv.reader(handle))
+    header = [cell.strip() for cell in records[0]]
+    indices = [header.index(source) for source, _ in schema.columns]
+    rows = []
+    rows_read = 0
+    for lineno, record in enumerate(records[1:], start=2):
+        if not record:
+            continue  # blank lines are not rows
+        rows_read += 1
+        cells = [record[i].strip() if i < len(record) else "" for i in indices]
+        missing = [cell in schema.missing_markers for cell in cells]
+        if schema.missing_policy == "drop_row" and any(missing):
+            continue
+        items = []
+        for (source, label), cell, absent in zip(schema.columns, cells, missing):
+            if absent:
+                continue
+            try:
+                items.append((label, int(cell)))
+            except ValueError:
+                raise IngestError(
+                    f"{path}:{lineno}: column {source!r}: cannot parse "
+                    f"{cell!r} as an integer"
+                ) from None
+        if items:  # a fully missing row is dropped under either policy
+            rows.append((len(rows), items))
+    stats.update(
+        rows_read=rows_read, rows_dropped=rows_read - len(rows), rows_kept=len(rows)
+    )
+    if not rows:
+        raise IngestError(
+            f"{path}: no rows survived the {schema.missing_policy!r} policy"
+        )
+    return build_database(rows)
+
+
+_cells = st.one_of(
+    st.builds(
+        lambda before, value, after: f"{before}{value}{after}",
+        st.sampled_from(["", " ", "  "]),
+        st.integers(-3, 12),
+        st.sampled_from(["", " ", "\t"]),
+    ),
+    st.sampled_from(
+        ["", "NA", "?", "-", "9223372036854775808", " -9223372036854775809", "abc"]
+    ),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_streamed_load_matches_reference(tmp_path_factory, data):
+    width = data.draw(st.integers(1, 4), label="columns")
+    header = [f"c{i}" for i in range(width)]
+    mapped = data.draw(st.permutations(header), label="schema order")
+    mapped = mapped[: data.draw(st.integers(1, width), label="mapped")]
+    schema = SchemaConfig(
+        name="t",
+        columns=tuple((source, f"x{source}") for source in mapped),
+        missing_policy=data.draw(st.sampled_from(MISSING_POLICIES), label="policy"),
+        missing_markers=data.draw(
+            st.sampled_from([{"", "NA", "?"}, {"-"}, {"", "NA", "?", "-"}]),
+            label="markers",
+        ),
+    )
+    # a record of no cells is a blank line; fewer than width is a short row
+    records = data.draw(
+        st.lists(st.lists(_cells, max_size=width + 1), max_size=8), label="rows"
+    )
+    path = tmp_path_factory.mktemp("streamed") / "table.csv"
+    path.write_text("\n".join(map(",".join, [header] + records)) + "\n")
+
+    def outcome(load):
+        stats: dict = {}
+        try:
+            result = load(path, schema, stats)
+        except IngestError as exc:
+            result = (type(exc), str(exc))
+        return result, stats
+
+    streamed = outcome(lambda p, s, stats: load_csv(p, s, stats=stats))
+    assert streamed == outcome(_reference_load)

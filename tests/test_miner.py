@@ -125,19 +125,6 @@ def test_count_candidates_rejects_empty_itemset(uniform_ab_db):
         count_candidates(uniform_ab_db, [Itemset(())])
 
 
-def test_parallel_counting_matches_serial():
-    rng = random.Random(40)
-    db = helpers.random_database(rng, max_items=10, max_tx=60)
-    ids = list(range(len(db.catalog)))
-    candidates = [
-        Itemset((i, j)) for i in ids for j in ids if i < j
-    ]
-    assert len(candidates) >= 32, "need enough candidates to engage the pool"
-    serial = count_candidates(db, candidates, workers=1)
-    parallel = count_candidates(db, candidates, workers=4)
-    assert serial == parallel
-
-
 def test_mine_frequent_levels_are_sorted_and_closed():
     rng = random.Random(13)
     for _ in range(15):

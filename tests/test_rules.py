@@ -349,7 +349,7 @@ def _rule_exports(draw):
         "mining": draw(st.dictionaries(st.text(max_size=6), _SCALARS, max_size=3)),
         "rule_config": draw(st.dictionaries(st.text(max_size=6), _SCALARS, max_size=3)),
     }
-    return rules, catalog, draw(counts), keywords
+    return rules, catalog, draw(st.integers(1, 10**12)), keywords  # a readable total is >= 1
 
 
 @settings(max_examples=200, deadline=None)
