@@ -16,6 +16,7 @@ import argparse
 import contextlib
 import csv
 import json
+import math
 import os
 import sys
 import time
@@ -352,6 +353,14 @@ def _report_rows_from_csv(path: str, precision: int):
                                 f"{path}:{reader.line_num}: {name} is not a "
                                 f"number: {row[index]!r}"
                             ) from None
+                        # as in rules.json: finite, or "inf" for a conviction
+                        inf = ("inf",) if name == "conviction" else ()
+                        if not (math.isfinite(value) or row[index] in inf):
+                            alternative = ' or "inf"' if inf else ""
+                            raise IngestError(
+                                f"{path}:{reader.line_num}: {name} must be "
+                                f"finite{alternative}, got {row[index]!r}"
+                            )
                         row[index] = f"{value:.{precision}f}"
                 rows.append(row)
         except csv.Error as exc:  # e.g. a field past csv.field_size_limit()

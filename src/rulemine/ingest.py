@@ -17,6 +17,7 @@ Cells equal to a missing marker (after stripping surrounding whitespace,
 comparison is case-sensitive) are missing. Under drop_row a row with any
 missing mapped cell is discarded; under partial_row the transaction
 keeps the items that are present. Fully missing rows are always dropped.
+Every other mapped cell must be an optional sign then ASCII digits.
 Transaction ids are the 0-based ordinals of surviving rows.
 """
 
@@ -29,7 +30,14 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 from .errors import EmptyDatabaseError, IngestError, SchemaError, utf8_input
-from .txdb import TransactionDatabase, _check_label, build_database, parse_item
+from .txdb import (
+    TransactionDatabase,
+    _check_label,
+    build_database,
+    parse_int,
+    parse_item,
+    parse_ints,
+)
 
 DEFAULT_MISSING_MARKERS = frozenset({"", "NA", "?"})
 MISSING_POLICIES = ("drop_row", "partial_row")
@@ -226,6 +234,8 @@ def _csv_rows(
     missing policy, as it is read; fill stats once the file is read."""
     drop_row = schema.missing_policy == "drop_row"
     markers = schema.missing_markers
+    labels = schema.labels
+    sources = {label: source for source, label in schema.columns}
     pad = [""] * (max(indices) + 1)  # a short row's absent cells read as ""
     rows_read = rows_kept = 0
     for lineno, record in enumerate(reader, start=2):
@@ -234,25 +244,35 @@ def _csv_rows(
         rows_read += 1
         record += pad[len(record):]
         cells = [record[index].strip() for index in indices]
-        if drop_row and not markers.isdisjoint(cells):
-            continue
-        items = []
-        for cell, (source, label) in zip(cells, schema.columns):
-            if cell in markers:
+        present = labels
+        if not markers.isdisjoint(cells):
+            if drop_row:
                 continue
-            try:
-                items.append((label, int(cell)))
-            except ValueError:
-                raise IngestError(
-                    f"{path}:{lineno}: column {source!r}: cannot parse "
-                    f"{cell!r} as an integer"
-                ) from None
-        if items:  # else fully missing under partial_row
-            yield rows_kept, items
-            rows_kept += 1
+            kept = [pair for pair in zip(labels, cells) if pair[1] not in markers]
+            if not kept:
+                continue  # every cell missing, under partial_row
+            present, cells = zip(*kept)
+        try:
+            values = parse_ints(cells)
+        except ValueError:  # raise for the first cell at fault, in schema order
+            values = [
+                _parse_cell(path, lineno, sources[label], cell)
+                for label, cell in zip(present, cells)
+            ]
+        yield rows_kept, list(zip(present, values))
+        rows_kept += 1
     if stats is not None:
         dropped = rows_read - rows_kept
         stats.update(rows_read=rows_read, rows_dropped=dropped, rows_kept=rows_kept)
+
+
+def _parse_cell(path: str | os.PathLike, lineno: int, source: str, cell: str) -> int:
+    try:
+        return parse_int(cell)
+    except ValueError:
+        raise IngestError(
+            f"{path}:{lineno}: column {source!r}: cannot parse {cell!r} as an integer"
+        ) from None
 
 
 def export_transactions(
@@ -296,7 +316,7 @@ def _exported_rows(path: str | os.PathLike, lines: Iterable[str]) -> Iterator[Ro
             continue
         first, *tokens = line.split(",")
         try:
-            tid = int(first)
+            tid = parse_int(first)
         except ValueError:
             raise IngestError(
                 f"{path}:{lineno}: expected a transaction id, got {first!r}"

@@ -4,8 +4,10 @@ The classical algorithm: level 1 keeps every item whose count reaches
 the support threshold; level k+1 candidates come from joining frequent
 k-itemsets that share a (k-1)-prefix, pruned by downward closure (every
 k-subset must itself be frequent); candidates are counted exactly
-against the vertical bitmaps and filtered. Levels stay in lexicographic
-item-id order throughout, so output order is deterministic.
+against the vertical bitmaps and filtered. Counting copies the bitmaps
+into a numpy uint64 word matrix per level and counts blocks of
+candidates with np.bitwise_count. Levels stay in lexicographic item-id
+order throughout, so output order is deterministic.
 
 The threshold formula lives in exactly one place, min_count, which
 meets_threshold, the rule generator and the brute-force oracle all go
@@ -21,10 +23,18 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from itertools import chain
+from typing import Iterator, NamedTuple, Sequence
 
-from .errors import ConfigError, EmptyDatabaseError, FrequentSetError
-from .txdb import ItemCatalog, ItemId, TransactionDatabase, popcount
+import numpy as np
+
+from .errors import (
+    ConfigError,
+    EmptyDatabaseError,
+    FrequentSetError,
+    UnknownItemError,
+)
+from .txdb import ItemCatalog, ItemId, TransactionDatabase
 
 EPS = 1e-9
 
@@ -57,8 +67,7 @@ class MiningConfig:
             raise ConfigError("max-len must be a positive integer or omitted")
 
 
-@dataclass(frozen=True)
-class Itemset:
+class Itemset(NamedTuple):
     """A sorted, duplicate-free tuple of item ids plus its exact count.
 
     count is None only on fresh candidates that have not been counted
@@ -119,23 +128,26 @@ def join_prefix(
 
     Yields, in lexicographic order, every (k+1)-tuple made by joining two
     keys that share their first k-1 items whose k-subsets are all keys.
+    The keys are grouped into tails by prefix. Dropping one of the last
+    two items of prefix + (first, last) gives a key of the group, and
+    dropping prefix item m gives a key iff last is a tail of (prefix
+    without item m) + (first,); so the allowed last items are the later
+    tails of the group intersected with those tail sets.
     """
-    present = set(keys)
-    n = len(keys)
-    k = len(keys[0]) if keys else 0
-    for i in range(n):
-        first = keys[i]
-        prefix = first[:-1]
-        for j in range(i + 1, n):
-            second = keys[j]
-            if second[:-1] != prefix:
-                break  # sorted input keeps equal prefixes contiguous
-            joined = first + (second[-1],)
-            # dropping joined[-1] or joined[-2] gives first or second
-            if all(
-                joined[:m] + joined[m + 1 :] in present for m in range(k - 1)
-            ):
-                yield joined
+    tails: dict[tuple[ItemId, ...], list[ItemId]] = {}
+    for key in keys:
+        tails.setdefault(key[:-1], []).append(key[-1])
+    tail_sets = {prefix: frozenset(group) for prefix, group in tails.items()}
+    for prefix, group in tails.items():
+        drops = [prefix[:m] + prefix[m + 1 :] for m in range(len(prefix))]
+        for i, first in enumerate(group):
+            later = group[i + 1 :]
+            allowed = set(later).intersection(
+                *(tail_sets.get(drop + (first,), ()) for drop in drops)
+            )
+            if allowed:
+                base = prefix + (first,)
+                yield from (base + (last,) for last in later if last in allowed)
 
 
 def candidate_gen(level_k: Sequence[Itemset]) -> list[Itemset]:
@@ -151,7 +163,12 @@ def candidate_gen(level_k: Sequence[Itemset]) -> list[Itemset]:
     keys = [s.items for s in level_k]
     if any(len(key) != k for key in keys):
         raise ConfigError("candidate_gen requires itemsets of uniform size")
-    return [Itemset(joined) for joined in join_prefix(keys)]
+    return list(map(Itemset, join_prefix(keys)))
+
+
+# Candidates are counted in blocks of about this many bytes of bitmap
+# words, which bounds the temporaries whatever the number of rows.
+BLOCK_BYTES = 1 << 19
 
 
 def count_candidates(
@@ -159,28 +176,50 @@ def count_candidates(
 ) -> list[Itemset]:
     """Annotate each candidate with its exact count, preserving order.
 
-    Consecutive candidates that share all but their last item share one
-    AND of that prefix (an Eclat prefix class), so each candidate costs
-    one more AND and a popcount. The prefix bitmap is rebuilt whenever
-    the prefix changes, which keeps the counts exact for any order and
-    any mix of sizes.
+    The bitmaps become the rows of a uint64 word matrix, after which comes
+    one all-ones row that stands for the empty prefix. Each block of
+    candidates becomes a table of row indices, shorter keys left-padded
+    with the all-ones row, so keys of any mix of sizes line up. A block
+    ANDs each run of consecutive candidates that share all but their last
+    item once (an Eclat prefix class), gathers those prefixes, ANDs in
+    each candidate's last item and counts the bits with np.bitwise_count.
+    The last item is always a real item, so the all-ones row's bits past
+    total never count.
     """
-    vertical = db.vertical
+    n_items = len(db.vertical)
+    n_bytes = 8 * -(-db.total // 64)
+    words = np.frombuffer(
+        b"".join([b.to_bytes(n_bytes, "little") for b in db.vertical])
+        + b"\xff" * n_bytes,
+        dtype=np.uint64,
+    ).reshape(n_items + 1, -1)
+    ones = n_items  # row index of the all-ones row
+    count_type = np.min_scalar_type(db.total)  # a count never exceeds total
+    per_block = max(1, BLOCK_BYTES // n_bytes)
     counted: list[Itemset] = []
-    prefix: tuple[ItemId, ...] | None = None
-    prefix_bitmap = -1
-    for candidate in candidates:
-        items = candidate.items
-        if not items:
+    for start in range(0, len(candidates), per_block):
+        keys = [c.items for c in candidates[start : start + per_block]]
+        lengths = np.fromiter(map(len, keys), np.intp, len(keys))
+        if lengths.min() == 0:
             raise ConfigError("cannot count the empty itemset as a candidate")
-        if items[:-1] != prefix:
-            prefix = items[:-1]
-            prefix_bitmap = -1  # all rows
-            for item_id in prefix:
-                prefix_bitmap &= vertical[item_id]
-        counted.append(
-            Itemset(items, popcount(prefix_bitmap & vertical[items[-1]]))
-        )
+        flat = np.fromiter(chain.from_iterable(keys), np.intp, int(lengths.sum()))
+        if flat.min() < 0 or flat.max() >= n_items:
+            raise UnknownItemError(f"candidate item ids must lie in [0, {n_items})")
+        width = int(lengths.max())
+        table = np.full((len(keys), width), ones, np.intp)
+        table[np.arange(width) >= (width - lengths)[:, None]] = flat
+
+        # a run starts wherever the prefix differs from the one before
+        new_run = np.ones(len(keys), bool)
+        new_run[1:] = (table[1:, :-1] != table[:-1, :-1]).any(axis=1)
+        runs = np.flatnonzero(new_run)
+        shared = words[table[runs, 0]] if width > 1 else words[[ones]]
+        for column in range(1, width - 1):
+            shared &= words[table[runs, column]]
+        hits = shared[np.cumsum(new_run) - 1]  # each candidate's prefix
+        hits &= words[table[:, -1]]
+        counts = np.bitwise_count(hits).sum(axis=1, dtype=count_type)
+        counted.extend(map(Itemset, keys, counts.tolist()))
     return counted
 
 

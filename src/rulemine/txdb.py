@@ -42,6 +42,30 @@ _LABEL_FORBIDDEN = set("={},")
 popcount = int.bit_count
 
 
+# int() also takes underscores, surrounding blanks and other scripts'
+# digits ("1_0", " 7", "１２"). Text that int() takes and that holds no
+# character but these is exactly an optional sign then ASCII digits.
+_SIGN_AND_DIGITS = "+-0123456789"
+
+
+def parse_int(text: str) -> int:
+    """The integer that text spells as an optional sign then ASCII
+    digits; ValueError for any other text."""
+    value = int(text)
+    if text.strip(_SIGN_AND_DIGITS):
+        raise ValueError(f"not an optional sign then ASCII digits: {text!r}")
+    return value
+
+
+def parse_ints(texts: Sequence[str]) -> list[int]:
+    """parse_int of each text, with one character test on them all
+    joined."""
+    values = list(map(int, texts))
+    if "".join(texts).strip(_SIGN_AND_DIGITS):
+        raise ValueError(f"not each an optional sign then ASCII digits: {texts!r}")
+    return values
+
+
 def _check_label(label: object) -> str:
     if not isinstance(label, str) or not label:
         raise SchemaError(f"column label must be a non-empty string, got {label!r}")
@@ -64,14 +88,15 @@ def _check_value(column: str, value: object) -> int:
 
 def parse_item(token: str) -> tuple[str, int]:
     """Split a "column=value" token (the inverse of ItemCatalog.render);
-    raises ValueError on a token with no column or a non-integer value."""
+    raises ValueError on a token with no column or a value that is not
+    an optional sign then ASCII digits."""
     column, eq, raw = token.rpartition("=")
     if not eq or not column:
         raise ValueError(
             f"malformed item token {token!r}, expected '<column>=<int>'"
         )
     try:
-        return column, int(raw)
+        return column, parse_int(raw)
     except ValueError:
         raise ValueError(f"item token {token!r} has a non-integer value") from None
 

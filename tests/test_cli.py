@@ -678,8 +678,12 @@ def test_malformed_rules_json_exits_1(tmp_path, capsys, content, message):
     [
         (lambda cells: cells[:3] + ["abc"] + cells[4:], "support is not a number: 'abc'"),
         (lambda cells: cells[:-1], "expected 8 fields, got 7"),
+        (lambda cells: cells[:3] + ["nan"] + cells[4:], "support must be finite, got 'nan'"),
+        (lambda cells: cells[:4] + ["inf"] + cells[5:], "confidence must be finite, got 'inf'"),
+        (lambda cells: cells[:5] + ["-inf"] + cells[6:], "coverage must be finite, got '-inf'"),
+        (lambda cells: cells[:6] + ["1e400"] + cells[7:], "lift must be finite, got '1e400'"),
     ],
-    ids=["non_numeric_metric", "short_row"],
+    ids=["non_numeric_metric", "short_row", "nan", "inf", "minus_inf", "overflow"],
 )
 def test_malformed_rules_csv_exits_1(uniform_csv, tmp_path, capsys, corrupt, message):
     out = tmp_path / "out"
@@ -692,6 +696,31 @@ def test_malformed_rules_csv_exits_1(uniform_csv, tmp_path, capsys, corrupt, mes
     assert cli.main(["report", "--input", str(path)]) == 1
     err = capsys.readouterr().err
     assert err == f"error: {path}:2: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "conviction, message",
+    [
+        ("inf", None),
+        ("-inf", "conviction must be finite or \"inf\", got '-inf'"),
+        ("nan", "conviction must be finite or \"inf\", got 'nan'"),
+        ("1e400", "conviction must be finite or \"inf\", got '1e400'"),
+    ],
+)
+def test_rules_csv_conviction_may_be_inf(tmp_path, capsys, conviction, message):
+    path = tmp_path / "rules.csv"
+    path.write_text(
+        "rule,LHS,RHS,support,confidence,coverage,lift,count,conviction,leverage\n"
+        f"1,{{a=1}},{{b=1}},0.5,1.0,0.5,2.0,2,{conviction},0.25\n",
+        encoding="utf-8",
+    )
+    code = cli.main(["report", "--input", str(path)])
+    captured = capsys.readouterr()
+    if message is None:
+        assert code == 0 and captured.out.splitlines()[1].split()[-2] == "inf"
+    else:
+        assert code == 1
+        assert captured.err == f"error: {path}:2: {message}\n"
 
 
 @pytest.mark.parametrize(
@@ -833,6 +862,21 @@ def test_predict_no_match_is_empty_success(tmp_path, capsys):
     captured = capsys.readouterr()
     assert json.loads(captured.out)["predictions"] == []
     assert "no rule matches" in captured.err
+
+
+@pytest.mark.parametrize("token", ["a=1_0", "a=\uff11", "a= 1"])
+def test_predict_known_takes_only_sign_then_ascii_digits(tmp_path, capsys, token):
+    table = tmp_path / "table.csv"
+    table.write_text(UNIFORM, encoding="utf-8")
+    out = tmp_path / "out"
+    assert _mine(table, out, "--format", "json") == 0
+    capsys.readouterr()
+    argv = ["predict", "--input", str(out / "rules.json"), "--target", "b"]
+    assert cli.main(argv + ["--known", "a=1"]) == 0
+    capsys.readouterr()
+    assert cli.main(argv + ["--known", token]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: item token {token!r} has a non-integer value\n"
 
 
 def test_predict_bad_tokens_exit_2(tmp_path, capsys):

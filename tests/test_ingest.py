@@ -374,6 +374,65 @@ def test_negative_values_parse(tmp_path):
     assert db.catalog.render(0) == "a=-5"
 
 
+def test_sign_then_ascii_digits_parse(tmp_path):
+    path = _write(tmp_path, 'a,b\n+7,-0\n"007",3\n')
+    db = load_csv(path)
+    assert [db.catalog.render(i) for i in range(len(db.catalog))] == [
+        "a=7", "b=0", "b=3"
+    ]
+
+
+def _ab_schema(policy):
+    return SchemaConfig(
+        name="t", columns=(("a", "a"), ("b", "b")), missing_policy=policy
+    )
+
+
+@pytest.mark.parametrize(
+    "cell", ["1_0", "\uff11\uff12", "\u0663", "1 0", '"1\n2"', "0x1", "1.0"]
+)
+@pytest.mark.parametrize("policy", MISSING_POLICIES)
+def test_other_spellings_of_an_integer_are_rejected(tmp_path, cell, policy):
+    path = _write(tmp_path, f"a,b\n1,2\n3,{cell}\n")
+    shown = cell.strip('"')
+    with pytest.raises(IngestError) as err:
+        load_csv(path, _ab_schema(policy))
+    message = f"{path}:3: column 'b': cannot parse {shown!r} as an integer"
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize(
+    "row, policy, column, cell",
+    [
+        ("1_0,x", "drop_row", "a", "1_0"),
+        ("x,1_0", "drop_row", "a", "x"),
+        ("NA,1_0", "partial_row", "b", "1_0"),
+        ("1,1_0", "partial_row", "b", "1_0"),
+    ],
+)
+def test_first_cell_at_fault_is_named(tmp_path, row, policy, column, cell):
+    path = _write(tmp_path, f"a,b\n{row}\n")
+    with pytest.raises(IngestError, match=f"{column!r}: cannot parse {cell!r}"):
+        load_csv(path, _ab_schema(policy))
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("0,a=1_0", "item token 'a=1_0' has a non-integer value"),
+        ("0,a=\uff11", "item token 'a=\uff11' has a non-integer value"),
+        ("0,a= 1", "item token 'a= 1' has a non-integer value"),
+        ("1_0,a=1", "expected a transaction id, got '1_0'"),
+        ("\uff10,a=1", "expected a transaction id, got '\uff10'"),
+    ],
+)
+def test_load_transactions_takes_only_sign_then_ascii_digits(tmp_path, line, message):
+    path = _write(tmp_path, line + "\n", name="tx.txt")
+    with pytest.raises(IngestError) as err:
+        load_transactions(path)
+    assert str(err.value) == f"{path}:1: {message}"
+
+
 def _reference_load(path, schema, stats):
     """load_csv's documented rules, applied to the whole table at once."""
     with open(path, encoding="utf-8-sig", newline="") as handle:

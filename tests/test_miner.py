@@ -1,14 +1,17 @@
 from __future__ import annotations
 
 import random
+from itertools import combinations
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import helpers
 from rulemine import (
     ConfigError,
     Itemset,
     MiningConfig,
+    UnknownItemError,
     brute_force_frequent,
     build_database,
     candidate_gen,
@@ -18,6 +21,8 @@ from rulemine import (
     mine_frequent,
     write_itemsets,
 )
+from rulemine import miner
+from rulemine.miner import join_prefix
 
 
 def test_min_count_epsilon_rule():
@@ -123,6 +128,79 @@ def test_count_candidates_exact_and_order_preserving(cicy5_db):
 def test_count_candidates_rejects_empty_itemset(uniform_ab_db):
     with pytest.raises(ConfigError):
         count_candidates(uniform_ab_db, [Itemset(())])
+
+
+@st.composite
+def join_cases(draw):
+    """Sorted, duplicate-free k-tuples over a small universe, k >= 1."""
+    universe = draw(st.integers(1, 7))
+    k = draw(st.integers(1, min(4, universe)))
+    keys = draw(st.sets(st.sampled_from(list(combinations(range(universe), k)))))
+    return universe, k, sorted(keys)
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=join_cases())
+@example(case=(3, 1, []))
+@example(case=(7, 1, [(1,), (4,), (6,)]))
+def test_join_prefix_matches_brute_force(case):
+    universe, k, keys = case
+    present = set(keys)
+    expected = [
+        joined
+        for joined in combinations(range(universe), k + 1)
+        if all(subset in present for subset in combinations(joined, k))
+    ]
+    assert list(join_prefix(keys)) == expected
+
+
+def _database_of(total: int, n_items: int, seed: int):
+    rng = random.Random(seed)
+    rows = [
+        (tid, [(f"c{j}", 1) for j in range(n_items) if rng.random() < 0.6])
+        for tid in range(total)
+    ]
+    return build_database(rows)
+
+
+def _exact(db, candidates):
+    return [Itemset(c.items, db.support_count(c.items)) for c in candidates]
+
+
+@pytest.mark.parametrize("total", [63, 64, 65, 127, 128, 129])
+def test_count_candidates_at_word_boundaries(total):
+    # the all-ones row fills its last word past total; those bits must
+    # never reach a count, for single items or padded mixed sizes
+    db = _database_of(total, 6, seed=total)
+    n_items = len(db.catalog)
+    singles = [Itemset((i,)) for i in range(n_items)]
+    counted = count_candidates(db, singles)
+    assert counted == _exact(db, singles)
+    assert all(type(c.count) is int for c in counted)  # not numpy scalars
+    rng = random.Random(total)
+    mixed = [
+        Itemset(tuple(sorted(rng.sample(range(n_items), rng.randint(1, 4)))))
+        for _ in range(40)
+    ]
+    assert count_candidates(db, mixed) == _exact(db, mixed)
+
+
+def test_count_candidates_across_blocks(monkeypatch):
+    db = _database_of(200, 8, seed=3)
+    row_bytes = 8 * -(-db.total // 64)
+    monkeypatch.setattr(miner, "BLOCK_BYTES", 3 * row_bytes)  # 3 per block
+    # the run of prefix (0, 1) spans candidates 1..5, across the first
+    # block boundary (after 3) and the second (after 6)
+    keys = [(0,), (0, 1, 2), (0, 1, 3), (0, 1, 4), (0, 1, 5), (0, 1, 6),
+            (0, 2), (2, 3, 4), (2, 3, 5), (5,), (1, 2, 3, 4)]  # fmt: skip
+    candidates = [Itemset(key) for key in keys]
+    assert count_candidates(db, candidates) == _exact(db, candidates)
+
+
+def test_count_candidates_rejects_unknown_items(uniform_ab_db):
+    for items in [(2,), (-1,), (0, 5)]:
+        with pytest.raises(UnknownItemError):
+            count_candidates(uniform_ab_db, [Itemset(items)])
 
 
 def test_mine_frequent_levels_are_sorted_and_closed():

@@ -1,8 +1,10 @@
 from __future__ import annotations
 
 import random
+import re
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import helpers
 from rulemine import (
@@ -15,6 +17,7 @@ from rulemine import (
     build_database,
     build_database_from_columns,
 )
+from rulemine.txdb import parse_int, parse_ints, parse_item
 
 
 def test_build_interns_distinct_pairs():
@@ -179,6 +182,38 @@ def test_catalog_render_and_parse_round_trip():
         catalog.parse("item5=4.5")
     with pytest.raises(UnknownItemError):
         catalog.render(17)
+
+
+@pytest.mark.parametrize("raw, value", [("7", 7), ("+7", 7), ("-7", -7), ("007", 7)])
+def test_parse_item_takes_a_sign_then_ascii_digits(raw, value):
+    assert parse_item(f"a={raw}") == ("a", value)
+
+
+@pytest.mark.parametrize(
+    "raw", ["1_0", "\uff11\uff12", "\u0663", " 7", "7 ", "+", "", "1.0", "--1", "1\n2"]
+)
+def test_parse_item_rejects_other_spellings_of_an_integer(raw):
+    with pytest.raises(ValueError, match="non-integer value"):
+        parse_item(f"a={raw}")
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    texts=st.lists(st.text("0123456789+-_ \t\n\uff11\u0663", max_size=4), max_size=4)
+)
+def test_parse_int_and_parse_ints_are_one_sign_then_ascii_digits_rule(texts):
+    strict = [re.fullmatch(r"[+-]?[0-9]+", text) is not None for text in texts]
+    for text, ok in zip(texts, strict):
+        if ok:
+            assert parse_int(text) == int(text)
+        else:
+            with pytest.raises(ValueError):
+                parse_int(text)
+    if all(strict):
+        assert parse_ints(texts) == [int(text) for text in texts]
+    else:
+        with pytest.raises(ValueError):
+            parse_ints(texts)
 
 
 def test_label_validation():
