@@ -14,9 +14,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
 import json
-import math
 import os
 import sys
 import time
@@ -43,6 +41,7 @@ from .rules import (
     generate_rules,
     read_rules_json,
     render_rule,
+    report_rows_from_csv,
     rule_row,
     write_rules_csv,
     write_rules_json,
@@ -137,7 +136,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _check_precision(precision: object) -> None:
-    if not isinstance(precision, int) or not 0 <= precision <= MAX_PRECISION:
+    if type(precision) is not int or not 0 <= precision <= MAX_PRECISION:
         raise ConfigError(f"--precision must be an integer in [0, {MAX_PRECISION}]")
 
 
@@ -149,20 +148,25 @@ def _check_path(flag: str, path: object) -> None:
 
 def _validate_mine_args(args: argparse.Namespace) -> None:
     """Check the mine flags before any file is read. A replayed manifest
-    may hold any JSON value, so types are checked along with ranges."""
+    may hold any JSON value, so types are checked along with ranges; a
+    JSON true or false is no number, though bool is an int subclass."""
     for flag, value in (
         ("--min-support", args.min_support),
         ("--min-confidence", args.min_confidence),
     ):
-        if not isinstance(value, (int, float)) or not 0.0 < value <= 1.0:
+        if type(value) not in (int, float) or not 0.0 < value <= 1.0:
             raise ConfigError(f"{flag} must lie in (0,1]")
     if args.max_len is not None and not (
-        isinstance(args.max_len, int) and args.max_len >= 1
+        type(args.max_len) is int and args.max_len >= 1
     ):
         raise ConfigError("--max-len must be a positive integer")
-    if not isinstance(args.workers, int) or args.workers < 1:
+    if type(args.workers) is not int or args.workers < 1:
         raise ConfigError("--workers must be a positive integer")
     _check_precision(args.precision)
+    if args.format not in ("csv", "json"):
+        raise ConfigError("--format must be one of: csv, json")
+    if type(args.include_empty_lhs) is not bool:
+        raise ConfigError("include_empty_lhs must be true or false")
     separator = args.separator  # csv rejects NUL before Python 3.11
     if not isinstance(separator, str) or len(separator) != 1 or separator == "\0":
         raise ConfigError("--separator must be a single character")
@@ -329,45 +333,6 @@ def _args_from_manifest(args: argparse.Namespace) -> argparse.Namespace:
     return replay
 
 
-def _report_rows_from_csv(path: str, precision: int):
-    with open(path, "r", encoding="utf-8", newline="") as handle, utf8_input(path):
-        reader = csv.reader(handle)
-        try:
-            header = next(reader, None)
-            if header is None:
-                raise IngestError(f"{path}: empty rule file")
-            rows = []
-            for row in reader:
-                if len(row) != len(header):
-                    raise IngestError(
-                        f"{path}:{reader.line_num}: expected {len(header)} "
-                        f"fields, got {len(row)}"
-                    )
-                for index, name in enumerate(header):
-                    if name in ("support", "confidence", "coverage", "lift",
-                                "conviction", "leverage"):
-                        try:
-                            value = float(row[index])
-                        except ValueError:
-                            raise IngestError(
-                                f"{path}:{reader.line_num}: {name} is not a "
-                                f"number: {row[index]!r}"
-                            ) from None
-                        # as in rules.json: finite, or "inf" for a conviction
-                        inf = ("inf",) if name == "conviction" else ()
-                        if not (math.isfinite(value) or row[index] in inf):
-                            alternative = ' or "inf"' if inf else ""
-                            raise IngestError(
-                                f"{path}:{reader.line_num}: {name} must be "
-                                f"finite{alternative}, got {row[index]!r}"
-                            )
-                        row[index] = f"{value:.{precision}f}"
-                rows.append(row)
-        except csv.Error as exc:  # e.g. a field past csv.field_size_limit()
-            raise IngestError(f"{path}:{reader.line_num}: {exc}") from None
-    return header, rows
-
-
 def cmd_report(args: argparse.Namespace) -> int:
     if args.top < 0:
         raise ConfigError("--top must be non-negative")
@@ -383,7 +348,7 @@ def cmd_report(args: argparse.Namespace) -> int:
             for position, rule in enumerate(document.rules[: args.top], start=1)
         ]
     else:
-        header, rows = _report_rows_from_csv(path, args.precision)
+        header, rows = report_rows_from_csv(path, args.precision)
     rows = rows[: args.top]
     widths = [
         max(len(header[i]), *(len(r[i]) for r in rows)) if rows else len(header[i])

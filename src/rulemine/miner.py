@@ -4,8 +4,8 @@ The classical algorithm: level 1 keeps every item whose count reaches
 the support threshold; level k+1 candidates come from joining frequent
 k-itemsets that share a (k-1)-prefix, pruned by downward closure (every
 k-subset must itself be frequent); candidates are counted exactly
-against the vertical bitmaps and filtered. Counting copies the bitmaps
-into a numpy uint64 word matrix per level and counts blocks of
+against the item bitmaps and filtered. Counting reads the database's
+uint64 word matrix (db.words) as it is stored and counts blocks of
 candidates with np.bitwise_count. Levels stay in lexicographic item-id
 order throughout, so output order is deterministic.
 
@@ -176,26 +176,17 @@ def count_candidates(
 ) -> list[Itemset]:
     """Annotate each candidate with its exact count, preserving order.
 
-    The bitmaps become the rows of a uint64 word matrix, after which comes
-    one all-ones row that stands for the empty prefix. Each block of
-    candidates becomes a table of row indices, shorter keys left-padded
-    with the all-ones row, so keys of any mix of sizes line up. A block
-    ANDs each run of consecutive candidates that share all but their last
-    item once (an Eclat prefix class), gathers those prefixes, ANDs in
-    each candidate's last item and counts the bits with np.bitwise_count.
-    The last item is always a real item, so the all-ones row's bits past
-    total never count.
+    Each block of candidates becomes a table of rows of db.words, at
+    least two columns wide, shorter keys left-padded with their own
+    first item (x & x is x), so keys of any mix of sizes line up. A
+    block ANDs each run of consecutive candidates that share all but
+    their last column once (an Eclat prefix class), gathers those
+    prefixes, ANDs in each candidate's last item and counts the bits
+    with np.bitwise_count.
     """
-    n_items = len(db.vertical)
-    n_bytes = 8 * -(-db.total // 64)
-    words = np.frombuffer(
-        b"".join([b.to_bytes(n_bytes, "little") for b in db.vertical])
-        + b"\xff" * n_bytes,
-        dtype=np.uint64,
-    ).reshape(n_items + 1, -1)
-    ones = n_items  # row index of the all-ones row
+    words = db.words
     count_type = np.min_scalar_type(db.total)  # a count never exceeds total
-    per_block = max(1, BLOCK_BYTES // n_bytes)
+    per_block = max(1, BLOCK_BYTES // (words.itemsize * words.shape[1]))
     counted: list[Itemset] = []
     for start in range(0, len(candidates), per_block):
         keys = [c.items for c in candidates[start : start + per_block]]
@@ -203,17 +194,18 @@ def count_candidates(
         if lengths.min() == 0:
             raise ConfigError("cannot count the empty itemset as a candidate")
         flat = np.fromiter(chain.from_iterable(keys), np.intp, int(lengths.sum()))
-        if flat.min() < 0 or flat.max() >= n_items:
-            raise UnknownItemError(f"candidate item ids must lie in [0, {n_items})")
-        width = int(lengths.max())
-        table = np.full((len(keys), width), ones, np.intp)
+        if flat.min() < 0 or flat.max() >= len(words):
+            raise UnknownItemError(f"candidate item ids must lie in [0, {len(words)})")
+        width = max(2, int(lengths.max()))
+        firsts = flat[np.cumsum(lengths) - lengths]
+        table = np.repeat(firsts[:, None], width, axis=1)
         table[np.arange(width) >= (width - lengths)[:, None]] = flat
 
         # a run starts wherever the prefix differs from the one before
         new_run = np.ones(len(keys), bool)
         new_run[1:] = (table[1:, :-1] != table[:-1, :-1]).any(axis=1)
         runs = np.flatnonzero(new_run)
-        shared = words[table[runs, 0]] if width > 1 else words[[ones]]
+        shared = words[table[runs, 0]]
         for column in range(1, width - 1):
             shared &= words[table[runs, column]]
         hits = shared[np.cumsum(new_run) - 1]  # each candidate's prefix

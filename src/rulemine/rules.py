@@ -91,8 +91,7 @@ def compute_metrics(
     return Metrics(support, confidence, coverage, lift, conviction, leverage)
 
 
-@dataclass(frozen=True)
-class AssociationRule:
+class AssociationRule(NamedTuple):
     """lhs => rhs with its joint count and full metric block.
 
     lhs and rhs are Itemsets carrying their own counts, so every metric
@@ -439,6 +438,12 @@ def _is_number(value: object) -> bool:
         return False
 
 
+def _is_metric(name: str, value: object) -> bool:
+    """The rule both rules readers apply to a number or a string float()
+    takes: finite, or "inf" as the writers spell an infinite conviction."""
+    return name == "conviction" if value == "inf" else math.isfinite(float(value))
+
+
 def _check_rules(path: str | os.PathLike, rules: object, catalog_size: int) -> None:
     """Check every rule object of a rules document, one key at a time
     across all rules. Each test runs over all of a key's values at once;
@@ -505,8 +510,46 @@ def _check_rules(path: str | os.PathLike, rules: object, catalog_size: int) -> N
         alternative = ' or "inf"' if inf else ""
         reject(column, lambda value: value in inf or _is_number(value),
                f"{key} must be a number{alternative}")  # fmt: skip
-        reject(column, lambda value: value in inf or math.isfinite(value),
+        reject(column, partial(_is_metric, key),
                f"{key} must be finite{alternative}")  # fmt: skip
+
+
+def report_rows_from_csv(path: str, precision: int) -> tuple[list, list]:
+    """The header and rows of a rules CSV for report, each metric cell
+    rendered at precision; IngestError "<path>:<line>: <problem>"."""
+    with open(path, "r", encoding="utf-8", newline="") as handle, utf8_input(path):
+        reader = csv.reader(handle)
+        try:
+            header = next(reader, None)
+            if header is None:
+                raise IngestError(f"{path}: empty rule file")
+            rows = []
+            for row in reader:
+                if len(row) != len(header):
+                    raise IngestError(
+                        f"{path}:{reader.line_num}: expected {len(header)} "
+                        f"fields, got {len(row)}"
+                    )
+                for index, name in enumerate(header):
+                    if name in Metrics._fields:
+                        try:
+                            value = float(row[index])
+                        except ValueError:
+                            raise IngestError(
+                                f"{path}:{reader.line_num}: {name} is not a "
+                                f"number: {row[index]!r}"
+                            ) from None
+                        if not _is_metric(name, row[index]):
+                            alternative = ' or "inf"' if name == "conviction" else ""
+                            raise IngestError(
+                                f"{path}:{reader.line_num}: {name} must be "
+                                f"finite{alternative}, got {row[index]!r}"
+                            )
+                        row[index] = f"{value:.{precision}f}"
+                rows.append(row)
+        except csv.Error as exc:  # e.g. a field past csv.field_size_limit()
+            raise IngestError(f"{path}:{reader.line_num}: {exc}") from None
+    return header, rows
 
 
 def read_rules_json(path: str | os.PathLike) -> RuleSetDocument:

@@ -6,11 +6,12 @@ Key ideas:
   dense integer id. The catalog orders ids by column of first appearance,
   then ascending value, so ids and every artifact derived from them are
   byte-deterministic for a given input.
-- Each item id owns one bitmap stored as an arbitrary-precision int in
-  which bit i mirrors membership in row i. The bitmaps are the only
-  stored form of the table: support counting is a chain of ANDs plus one
-  popcount, and the horizontal rows (`transactions`) are unpacked from
-  the bitmaps only when asked for.
+- The table is stored as one read-only matrix of little-endian uint64
+  words, `words`: row j is item j's bitmap, bit i % 64 of its word
+  i // 64 mirrors membership in row i, and the bits past total are zero.
+  It is the only stored form of the table: support counting is a chain
+  of ANDs plus one popcount, and the horizontal rows (`transactions`)
+  are unpacked from it only when asked for.
 - One private builder packs the bitmaps; build_database (rows) and
   build_database_from_columns (columns) only adapt their input to it.
 - Databases are frozen after construction.
@@ -38,8 +39,6 @@ ItemId = int
 # Would collide with "label=value" tokens, comma-separated exports, or
 # the brace-wrapped rule rendering.
 _LABEL_FORBIDDEN = set("={},")
-
-popcount = int.bit_count
 
 
 # int() also takes underscores, surrounding blanks and other scripts'
@@ -170,9 +169,9 @@ class ItemCatalog:
         return self.entries[item_id]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TransactionDatabase:
-    """Immutable table stored as one bitmap per item.
+    """Immutable table stored as one bitmap row of `words` per item.
 
     tids is range(total) when the tids are the row ordinals and a tuple
     otherwise, so two databases of the same table compare equal.
@@ -180,9 +179,22 @@ class TransactionDatabase:
 
     catalog: ItemCatalog
     tids: Sequence[int]
-    vertical: tuple[int, ...]
+    words: np.ndarray
     item_counts: tuple[int, ...]
     total: int
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, TransactionDatabase):
+            return NotImplemented
+        return (
+            self.catalog == other.catalog
+            and self.tids == other.tids
+            and self.total == other.total
+            and self.item_counts == other.item_counts
+            and np.array_equal(self.words, other.words)
+        )
 
     @property
     def transactions(self) -> tuple[Transaction, ...]:
@@ -191,10 +203,9 @@ class TransactionDatabase:
         Costs O(total * items) time and memory; meant for the oracle and
         for export, not for mining.
         """
-        n_bytes = (self.total + 7) // 8
-        packed = b"".join(b.to_bytes(n_bytes, "little") for b in self.vertical)
-        matrix = np.frombuffer(packed, np.uint8).reshape(len(self.vertical), n_bytes)
-        member = np.unpackbits(matrix, axis=1, count=self.total, bitorder="little")
+        member = np.unpackbits(
+            self.words.view(np.uint8), axis=1, count=self.total, bitorder="little"
+        )
         return tuple(
             Transaction(tid, tuple(np.flatnonzero(row).tolist()))
             for tid, row in zip(self.tids, member.T)
@@ -209,26 +220,11 @@ class TransactionDatabase:
         ids = sorted(set(itemset))
         if not ids:
             return self.total
-        bitmap = -1
         for item_id in ids:
-            if not isinstance(item_id, int) or not 0 <= item_id < len(self.vertical):
+            if not isinstance(item_id, int) or not 0 <= item_id < len(self.words):
                 raise UnknownItemError(f"unknown item id {item_id!r}")
-            bitmap &= self.vertical[item_id]
-            if bitmap == 0:
-                return 0
-        return popcount(bitmap)
-
-    def __len__(self) -> int:
-        return self.total
-
-
-def _pack_bitmap(flags: np.ndarray) -> int:
-    # bitorder="little" puts element i at bit i of byte i//8; the final
-    # byte is zero-padded, which from_bytes ignores.
-    return int.from_bytes(
-        np.packbits(flags, bitorder="little").tobytes(), "little"
-    )
-
+        rows = self.words[np.array(ids, dtype=np.intp)]
+        return int(np.bitwise_count(np.bitwise_and.reduce(rows)).sum())
 
 def _check_tids(tids: Sequence[int]) -> Sequence[int]:
     """Validate tids and return their canonical form (see TransactionDatabase)."""
@@ -255,8 +251,9 @@ def _build(
     if total == 0:
         raise EmptyDatabaseError("cannot build a database from zero rows")
     entries: list[tuple[str, int]] = []
-    vertical: list[int] = []
-    flags = np.zeros(total, dtype=bool)
+    rows: list[np.ndarray] = []
+    # sized to whole words, so that the bits past total pack as zeros
+    flags = np.zeros(64 * -(-total // 64), dtype=bool)
     for label, positions, values in columns:
         uniq, inverse, counts = np.unique(
             values, return_inverse=True, return_counts=True
@@ -265,13 +262,15 @@ def _build(
         grouped = positions[np.argsort(inverse, kind="stable")]
         for item_positions in np.split(grouped, np.cumsum(counts)[:-1]):
             flags[item_positions] = True
-            vertical.append(_pack_bitmap(flags))
+            rows.append(np.packbits(flags, bitorder="little"))
             flags[item_positions] = False
+    words = np.array(rows, np.uint8).reshape(len(rows), flags.size // 8).view("<u8")
+    words.flags.writeable = False
     return TransactionDatabase(
         catalog=ItemCatalog(tuple(entries)),
         tids=tids,
-        vertical=tuple(vertical),
-        item_counts=tuple(popcount(bitmap) for bitmap in vertical),
+        words=words,
+        item_counts=tuple(np.bitwise_count(words).sum(axis=1).tolist()),
         total=total,
     )
 

@@ -215,6 +215,15 @@ def test_manifest_without_include_empty_lhs_replays_as_true(uniform_csv, tmp_pat
         ("schema", "a\0b", "--schema must be a path, got 'a\\x00b'"),
         ("schema", None, "--schema must be a path, got None"),
         ("out_dir", {}, "--out-dir must be a path, got {}"),
+        ("min_support", True, "--min-support must lie in (0,1]"),
+        ("min_confidence", True, "--min-confidence must lie in (0,1]"),
+        ("max_len", True, "--max-len must be a positive integer"),
+        ("workers", True, "--workers must be a positive integer"),
+        ("precision", True, "--precision must be an integer in [0, 1074]"),
+        ("format", "yaml", "--format must be one of: csv, json"),
+        ("format", ["json"], "--format must be one of: csv, json"),
+        ("include_empty_lhs", "no", "include_empty_lhs must be true or false"),
+        ("include_empty_lhs", 0, "include_empty_lhs must be true or false"),
     ],
 )
 def test_manifest_with_mistyped_flag_exits_2(uniform_csv, tmp_path, capsys, flag, value, message):

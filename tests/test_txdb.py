@@ -3,6 +3,7 @@ from __future__ import annotations
 import random
 import re
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -130,8 +131,8 @@ def test_vertical_bitmap_bit_positions_mirror_rows():
     )
     a = db.catalog.id_of("a", 1)
     b = db.catalog.id_of("b", 1)
-    assert db.vertical[a] == 0b101
-    assert db.vertical[b] == 0b110
+    assert db.words[a].tolist() == [0b101]
+    assert db.words[b].tolist() == [0b110]
 
 
 @pytest.mark.parametrize("total", [1, 7, 8, 9, 63, 64, 65, 257])
@@ -139,6 +140,55 @@ def test_byte_boundary_popcounts(total):
     db = build_database([(i, [("a", 1)]) for i in range(total)])
     assert db.item_counts[0] == total
     assert db.support_count([0]) == total
+
+
+@pytest.mark.parametrize("total", [1, 63, 64, 65, 127, 128, 129])
+def test_words_are_zero_past_total_and_read_only(total):
+    db = build_database(
+        [(i, [("a", 1), ("b", i % 3)]) for i in range(total)]
+    )
+    assert db.words.dtype == np.dtype("<u8")
+    assert db.words.shape == (len(db.catalog), -(-total // 64))
+    bits = np.unpackbits(db.words.view(np.uint8), axis=1, bitorder="little")
+    assert not bits[:, total:].any()
+    assert bits[db.catalog.id_of("a", 1), :total].all()
+    assert not db.words.flags.writeable
+    with pytest.raises(ValueError):
+        db.words[0, 0] = 0
+
+
+@pytest.mark.parametrize("position", [0, 63, 64, 128])
+def test_databases_differing_in_one_bit_compare_unequal(position):
+    def table(marked):
+        return build_database(
+            [(i, [("a", 1)] if i == marked else []) for i in range(130)]
+        )
+
+    db = table(position)
+    assert db == table(position)
+    other = table(position + 1)
+    assert (other.catalog, other.tids, other.total, other.item_counts) == (
+        db.catalog,
+        db.tids,
+        db.total,
+        db.item_counts,
+    )
+    assert db != other
+    with pytest.raises(TypeError):
+        hash(db)
+
+
+@pytest.mark.parametrize("total", [63, 64, 65, 127, 128, 129, 200])
+def test_support_count_matches_horizontal_scan_across_word_boundaries(total):
+    rng = random.Random(total)
+    db = build_database(
+        (tid, [(f"c{j}", 0) for j in range(6) if rng.random() < 0.7])
+        for tid in range(total)
+    )
+    ids = range(len(db.catalog))
+    for _ in range(40):
+        itemset = rng.sample(ids, rng.randint(1, len(ids)))
+        assert db.support_count(itemset) == helpers.horizontal_count(db, itemset)
 
 
 def test_columnar_build_equals_row_build():
@@ -151,11 +201,7 @@ def test_columnar_build_equals_row_build():
         (tid, [("x", x), ("y", y)])
         for tid, (x, y) in enumerate(zip(columns["x"], columns["y"]))
     )
-    assert via_columns.catalog.entries == via_rows.catalog.entries
-    assert via_columns.transactions == via_rows.transactions
-    assert via_columns.vertical == via_rows.vertical
-    assert via_columns.item_counts == via_rows.item_counts
-    assert via_columns.total == via_rows.total
+    assert via_columns == via_rows
 
 
 def test_columnar_build_validates_shape():
