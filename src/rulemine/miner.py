@@ -49,6 +49,11 @@ def meets_threshold(count: int, base: int, threshold: float) -> bool:
     return count >= min_count(threshold, base)
 
 
+def valid_threshold(value: object) -> bool:
+    """A number in (0, 1]; True is an int, but no threshold."""
+    return isinstance(value, (int, float)) and value is not True and 0 < value <= 1
+
+
 @dataclass(frozen=True)
 class MiningConfig:
     """min_support in (0, 1]; max_len caps itemset size (None = unlimited)."""
@@ -57,12 +62,10 @@ class MiningConfig:
     max_len: int | None = None
 
     def __post_init__(self) -> None:
-        if not isinstance(self.min_support, (int, float)) or not (
-            0.0 < self.min_support <= 1.0
-        ):
+        if not valid_threshold(self.min_support):
             raise ConfigError("min-support must lie in (0,1]")
         if self.max_len is not None and (
-            not isinstance(self.max_len, int) or self.max_len < 1
+            type(self.max_len) is not int or self.max_len < 1
         ):
             raise ConfigError("max-len must be a positive integer or omitted")
 

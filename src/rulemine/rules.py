@@ -37,7 +37,7 @@ from .errors import (
     SchemaError,
     utf8_input,
 )
-from .miner import FrequentSets, Itemset, join_prefix, meets_threshold
+from .miner import FrequentSets, Itemset, join_prefix, meets_threshold, valid_threshold
 from .txdb import ItemCatalog, ItemId, parse_item
 
 
@@ -155,11 +155,12 @@ class RuleConfig:
     ordering: str = "default"
 
     def __post_init__(self) -> None:
-        if not isinstance(self.min_confidence, (int, float)) or not (
-            0.0 < self.min_confidence <= 1.0
-        ):
+        if not valid_threshold(self.min_confidence):
             raise ConfigError("min-confidence must lie in (0,1]")
-        if self.ordering not in ORDERINGS:
+        for name in ("include_empty_lhs", "singleton_rhs"):
+            if type(getattr(self, name)) is not bool:
+                raise ConfigError(f"{name} must be true or false")
+        if not isinstance(self.ordering, str) or self.ordering not in ORDERINGS:
             known = ", ".join(sorted(ORDERINGS))
             raise ConfigError(
                 f"unknown ordering {self.ordering!r} (expected one of: {known})"
@@ -545,7 +546,7 @@ def report_rows_from_csv(path: str, precision: int) -> tuple[list, list]:
                                 f"{path}:{reader.line_num}: {name} must be "
                                 f"finite{alternative}, got {row[index]!r}"
                             )
-                        row[index] = f"{value:.{precision}f}"
+                        row[index] = _fmt(value, precision)
                 rows.append(row)
         except csv.Error as exc:  # e.g. a field past csv.field_size_limit()
             raise IngestError(f"{path}:{reader.line_num}: {exc}") from None

@@ -12,8 +12,9 @@ Key ideas:
   It is the only stored form of the table: support counting is a chain
   of ANDs plus one popcount, and the horizontal rows (`transactions`)
   are unpacked from it only when asked for.
-- One private builder packs the bitmaps; build_database (rows) and
-  build_database_from_columns (columns) only adapt their input to it.
+- One private builder packs each column's bitmaps in one scatter;
+  build_database (rows) and build_database_from_columns (a mapping, its
+  tids the row ordinals) adapt their input to it under one value rule.
 - Databases are frozen after construction.
 
 Bit positions are row ordinals (0..total-1). Transaction ids are labels
@@ -226,8 +227,12 @@ class TransactionDatabase:
         rows = self.words[np.array(ids, dtype=np.intp)]
         return int(np.bitwise_count(np.bitwise_and.reduce(rows)).sum())
 
-def _check_tids(tids: Sequence[int]) -> Sequence[int]:
+
+def _check_tids(tids: list[int]) -> Sequence[int]:
     """Validate tids and return their canonical form (see TransactionDatabase)."""
+    ordinals = range(len(tids))
+    if set(map(type, tids)) <= {int} and all(map(int.__eq__, tids, ordinals)):
+        return ordinals
     seen: set[int] = set()
     for tid in tids:
         if not isinstance(tid, int) or isinstance(tid, bool) or tid < 0:
@@ -237,34 +242,42 @@ def _check_tids(tids: Sequence[int]) -> Sequence[int]:
         if tid in seen:
             raise DuplicateTidError(f"duplicate tid {tid}")
         seen.add(tid)
-    ordinals = range(len(tids))
-    return ordinals if tuple(tids) == tuple(ordinals) else tuple(tids)
+    return tuple(tids)
+
+
+def _int_array(column: str, values: Sequence[object]) -> np.ndarray:
+    """The value rule of both builders: each value is an int, not a bool.
+    int64 when all fit, else object; SchemaError names the first bad."""
+    if not set(map(type, values)) <= {int}:
+        for value in values:
+            _check_value(column, value)
+    try:
+        return np.array(values, dtype=np.int64)
+    except OverflowError:  # values beyond int64 stay Python ints
+        return np.array(values, dtype=object)
 
 
 def _build(
     columns: Sequence[tuple[str, np.ndarray, np.ndarray]], tids: Sequence[int]
 ) -> TransactionDatabase:
-    """The one builder: (label, row positions, values) per column, in
-    catalog column order. A row may hold several values of one column;
-    a repeated (position, value) pair sets its bit once."""
+    """The one builder: (label, row positions, integer values) per
+    column, in catalog column order. One scatter per column ORs each
+    cell's bit into its value's row, so a row may hold several values of
+    one column and a repeated (position, value) pair sets its bit once."""
     total = len(tids)
     if total == 0:
         raise EmptyDatabaseError("cannot build a database from zero rows")
+    n_words = -(-total // 64)
     entries: list[tuple[str, int]] = []
-    rows: list[np.ndarray] = []
-    # sized to whole words, so that the bits past total pack as zeros
-    flags = np.zeros(64 * -(-total // 64), dtype=bool)
+    blocks = [np.zeros((0, n_words), dtype="<u8")]
     for label, positions, values in columns:
-        uniq, inverse, counts = np.unique(
-            values, return_inverse=True, return_counts=True
-        )
-        entries.extend((label, int(v)) for v in uniq)
-        grouped = positions[np.argsort(inverse, kind="stable")]
-        for item_positions in np.split(grouped, np.cumsum(counts)[:-1]):
-            flags[item_positions] = True
-            rows.append(np.packbits(flags, bitorder="little"))
-            flags[item_positions] = False
-    words = np.array(rows, np.uint8).reshape(len(rows), flags.size // 8).view("<u8")
+        uniq, inverse = np.unique(values, return_inverse=True)
+        entries.extend((label, value) for value in uniq.tolist())
+        block = np.zeros((len(uniq), n_words), dtype="<u8")
+        bits = np.left_shift(np.uint64(1), (positions & 63).astype(np.uint64))
+        np.bitwise_or.at(block, (inverse, positions >> 6), bits)
+        blocks.append(block)
+    words = np.concatenate(blocks)
     words.flags.writeable = False
     return TransactionDatabase(
         catalog=ItemCatalog(tuple(entries)),
@@ -284,69 +297,51 @@ def build_database(
     positions follow input order. Columns take catalog order from their
     first appearance in row order. Within a row, repeated identical
     pairs collapse (a transaction is a set). Raises DuplicateTidError,
-    EmptyDatabaseError, or SchemaError on malformed input.
+    EmptyDatabaseError, or SchemaError (for a bad value, after the last row).
     """
     tids: list[int] = []
-    cells: dict[str, tuple[list[int], list[int]]] = {}
+    cells: dict[str, tuple[list[int], list[object]]] = {}
     for position, (tid, row_items) in enumerate(rows):
         tids.append(tid)
         for column, value in row_items:
-            _check_value(column, value)
             column_cells = cells.get(column)
             if column_cells is None:
                 _check_label(column)
                 column_cells = cells[column] = ([], [])
             column_cells[0].append(position)
             column_cells[1].append(value)
-    columns = []
-    for column, (positions, values) in cells.items():
-        try:
-            array = np.array(values, dtype=np.int64)
-        except OverflowError:  # values beyond int64 stay Python ints
-            array = np.array(values, dtype=object)
-        columns.append((column, np.array(positions, dtype=np.int64), array))
+    columns = [
+        (column, np.array(positions, dtype=np.int64), _int_array(column, values))
+        for column, (positions, values) in cells.items()
+    ]
+    cells.clear()  # free the lists before _build's per-column temporaries
     return _build(columns, _check_tids(tids))
 
 
 def build_database_from_columns(
-    columns: Mapping[str, Sequence[int]] | Iterable[tuple[str, Sequence[int]]],
-    tids: Sequence[int] | None = None,
+    columns: Mapping[str, Sequence[int]],
 ) -> TransactionDatabase:
-    """Columnar input: equal-length integer columns, no missing cells.
+    """Columnar input: a mapping of label to equal-length integer
+    columns, no missing cells; the tids are the row ordinals.
 
     Produces exactly what build_database would for the row-wise form of
-    the same table; intended for large synthetic or pre-cleaned tables.
+    the same table, under the same value rule: an integer ndarray is
+    taken as it is, and any other column must hold only ints.
     """
-    pairs = list(columns.items()) if isinstance(columns, Mapping) else list(columns)
-    if not pairs:
+    if not columns:
         raise EmptyDatabaseError("at least one column is required")
-    names = [_check_label(name) for name, _ in pairs]
-    if len(set(names)) != len(names):
-        raise SchemaError("duplicate column names in columnar input")
-
-    arrays = []
-    total: int | None = None
-    for name, values in pairs:
-        arr = np.asarray(values)
-        if arr.ndim != 1:
-            raise SchemaError(f"column {name!r} must be one-dimensional")
-        if arr.size and not np.issubdtype(arr.dtype, np.integer):
-            raise SchemaError(f"column {name!r} must hold integers")
-        if total is None:
-            total = int(arr.shape[0])
-        elif arr.shape[0] != total:
-            raise SchemaError(
-                f"column {name!r} has {arr.shape[0]} rows, expected {total}"
-            )
-        arrays.append(arr)
-    assert total is not None
-
-    if tids is None:
-        checked: Sequence[int] = range(total)
-    else:
-        tid_list = [int(t) for t in tids]
-        if len(tid_list) != total:
-            raise SchemaError(f"{len(tid_list)} tids for {total} rows")
-        checked = _check_tids(tid_list)
+    total = len(next(iter(columns.values())))
     positions = np.arange(total)
-    return _build([(name, positions, arr) for name, arr in zip(names, arrays)], checked)
+    arrays = []
+    for name, values in columns.items():
+        _check_label(name)
+        if not (isinstance(values, np.ndarray) and values.dtype.kind in "iu"):
+            values = _int_array(name, values)
+        if values.ndim != 1:
+            raise SchemaError(f"column {name!r} must be one-dimensional")
+        if len(values) != total:
+            raise SchemaError(
+                f"column {name!r} has {len(values)} rows, expected {total}"
+            )
+        arrays.append((name, positions, values))
+    return _build(arrays, range(total))

@@ -43,15 +43,21 @@ def test_is_frequent_boundary():
     assert not meets_threshold(4, 5, 1.0)
 
 
-def test_mining_config_validation():
-    with pytest.raises(ConfigError):
-        MiningConfig(0.0)
-    with pytest.raises(ConfigError):
-        MiningConfig(1.5)
-    with pytest.raises(ConfigError):
-        MiningConfig(-0.1)
-    with pytest.raises(ConfigError):
-        MiningConfig(0.5, max_len=0)
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        ({"min_support": 0.0}, r"min-support must lie in \(0,1\]"),
+        ({"min_support": 1.5}, r"min-support must lie in \(0,1\]"),
+        ({"min_support": -0.1}, r"min-support must lie in \(0,1\]"),
+        ({"min_support": True}, r"min-support must lie in \(0,1\]"),
+        ({"min_support": 0.5, "max_len": 0}, "max-len must be a positive integer"),
+        ({"min_support": 0.5, "max_len": True}, "max-len must be a positive integer"),
+    ],
+    ids=["zero", "above-one", "negative", "bool-support", "zero-len", "bool-len"],
+)
+def test_mining_config_validation(kwargs, message):
+    with pytest.raises(ConfigError, match=message):
+        MiningConfig(**kwargs)
     MiningConfig(1.0, max_len=None)  # boundary values are fine
     MiningConfig(0.5, max_len=3)
 

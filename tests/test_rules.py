@@ -175,17 +175,25 @@ def test_ordering_policies():
         assert sorted(ordered, key=ORDERINGS["default"]) == default
 
 
-def test_unknown_ordering_rejected():
+@pytest.mark.parametrize("ordering", ["lexical", ["default"], None])
+def test_unknown_ordering_rejected(ordering):
     with pytest.raises(ConfigError, match="unknown ordering"):
-        RuleConfig(0.8, ordering="lexical")
+        RuleConfig(0.8, ordering=ordering)
 
 
-def test_min_confidence_validation():
+@pytest.mark.parametrize("min_confidence", [0.0, 1.2, True])
+def test_min_confidence_validation(min_confidence):
     with pytest.raises(ConfigError, match=r"min-confidence must lie in \(0,1\]"):
-        RuleConfig(0.0)
-    with pytest.raises(ConfigError):
-        RuleConfig(1.2)
+        RuleConfig(min_confidence)
     RuleConfig(1.0)
+
+
+@pytest.mark.parametrize("flag", ["include_empty_lhs", "singleton_rhs"])
+@pytest.mark.parametrize("value", ["no", 1, 0, None])
+def test_rule_config_flags_must_be_bools(flag, value):
+    with pytest.raises(ConfigError, match=f"{flag} must be true or false"):
+        RuleConfig(0.8, **{flag: value})
+    RuleConfig(0.8, **{flag: False})
 
 
 def test_rules_require_counts():

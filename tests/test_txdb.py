@@ -74,6 +74,18 @@ def test_duplicate_tid_rejected():
         build_database(rows)
 
 
+@pytest.mark.parametrize("bad", [True, 1.0, -1, "1"])
+def test_tids_must_be_non_negative_ints(bad):
+    with pytest.raises(DuplicateTidError, match="tid must be a non-negative int"):
+        build_database([(0, [("a", 1)]), (bad, [("a", 2)])])
+
+
+def test_ordinal_tids_are_stored_as_a_range():
+    rows = [(0, [("a", 1)]), (1, [("a", 2)]), (2, [("a", 1)])]
+    assert build_database(rows).tids == range(3)
+    assert build_database(rows[::-1]).tids == (2, 1, 0)
+
+
 def test_empty_row_set_rejected():
     with pytest.raises(EmptyDatabaseError):
         build_database([])
@@ -191,14 +203,21 @@ def test_support_count_matches_horizontal_scan_across_word_boundaries(total):
         assert db.support_count(itemset) == helpers.horizontal_count(db, itemset)
 
 
-def test_columnar_build_equals_row_build():
-    columns = {
-        "x": [3, 1, 3, 2, 1],
-        "y": [0, 0, 1, 1, 0],
-    }
+@pytest.mark.parametrize(
+    "x_values",
+    [
+        [3, 1, 3, 2, 1],
+        [2**63, 1, -(2**63) - 1, 2**63, 1],
+        np.array([2**64 - 1, 1, 2**63, 0, 1], dtype=np.uint64),
+        np.array([3, 1, 2**70, 2, 1], dtype=object),
+    ],
+    ids=["list", "beyond-int64", "uint64", "object"],
+)
+def test_columnar_build_equals_row_build(x_values):
+    columns = {"x": x_values, "y": [0, 0, 1, 1, 0]}
     via_columns = build_database_from_columns(columns)
     via_rows = build_database(
-        (tid, [("x", x), ("y", y)])
+        (tid, [("x", int(x)), ("y", y)])
         for tid, (x, y) in enumerate(zip(columns["x"], columns["y"]))
     )
     assert via_columns == via_rows
@@ -211,8 +230,10 @@ def test_columnar_build_validates_shape():
         build_database_from_columns({"x": []})
     with pytest.raises(SchemaError):
         build_database_from_columns({"x": [1.5, 2.0]})
-    with pytest.raises(DuplicateTidError):
-        build_database_from_columns({"x": [1, 2]}, tids=[0, 0])
+    with pytest.raises(SchemaError):
+        build_database_from_columns({"x": np.array([True, False])})
+    with pytest.raises(SchemaError):
+        build_database_from_columns({"x": np.array([[1, 2], [3, 4]])})
 
 
 def test_catalog_render_and_parse_round_trip():
