@@ -19,6 +19,13 @@ missing mapped cell is discarded; under partial_row the transaction
 keeps the items that are present. Fully missing rows are always dropped.
 Every other mapped cell must be an optional sign then ASCII digits.
 Transaction ids are the 0-based ordinals of surviving rows.
+
+load_csv reads the rows on one of two paths, which give the same
+database, row counts and errors. A clean table (one ASCII line per row,
+every mapped cell an integer that fits int64, none missing) is parsed
+whole by numpy's C parser and built from its columns. Any other table
+is read again from the start and streamed row by row through
+csv.reader, which alone drops rows and names the cell at fault.
 """
 
 from __future__ import annotations
@@ -26,11 +33,15 @@ from __future__ import annotations
 import csv
 import json
 import os
+import warnings
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence, TextIO
+
+import numpy as np
 
 from .errors import EmptyDatabaseError, IngestError, SchemaError, utf8_input
 from .txdb import (
+    _SIGN_AND_DIGITS,
     TransactionDatabase,
     _check_label,
     build_database,
@@ -179,11 +190,18 @@ def load_csv(
 ) -> TransactionDatabase:
     """Encode a header-bearing CSV into a transaction database.
 
-    Rows stream into build_database as they are read. schema=None
-    derives a generic schema from the header. Unparseable non-missing
-    cells raise IngestError with file, line, and column; a table with
-    no surviving rows raises IngestError. When given, stats is filled
-    with rows_read / rows_dropped / rows_kept.
+    schema=None derives a generic schema from the header. Unparseable
+    non-missing cells raise IngestError with file, line, and column; a
+    table with no surviving rows raises IngestError. When given, stats
+    is filled with rows_read / rows_dropped / rows_kept.
+
+    Two paths read the rows after the header. A clean table goes
+    through np.loadtxt to build_database as whole columns, when
+    _numpy_matrix proves that equal to the streamed path's result. Any
+    other (a missing or bad cell, a short row, a non-ASCII line, ...)
+    is read again from the start, each row going from csv.reader to
+    build_database as it is read; only that path drops rows or raises
+    for a cell.
     """
     try:
         handle = open(path, "r", encoding="utf-8-sig", newline="")
@@ -213,14 +231,85 @@ def load_csv(
                     )
                 indices.append(hits[0])
 
+            matrix = _numpy_matrix(handle, schema, indices, separator)
+            if matrix is not None:
+                rows = dict(zip(schema.labels, matrix.T))
+                if stats is not None:
+                    total = len(matrix)
+                    stats.update(rows_read=total, rows_dropped=0, rows_kept=total)
+            else:
+                if handle.seekable():  # numpy may have read past the header
+                    handle.seek(0)
+                    reader = csv.reader(handle, delimiter=separator)
+                    next(reader)
+                rows = _csv_rows(path, reader, schema, indices, stats)
             try:
-                return build_database(_csv_rows(path, reader, schema, indices, stats))
+                return build_database(rows)
             except EmptyDatabaseError:
                 raise IngestError(
                     f"{path}: no rows survived the {schema.missing_policy!r} policy"
                 ) from None
     except csv.Error as exc:  # e.g. a field past csv.field_size_limit()
         raise IngestError(f"{path}:{reader.line_num}: {exc}") from None
+
+
+def _numpy_matrix(
+    handle: TextIO, schema: SchemaConfig, indices: list[int], separator: str
+) -> np.ndarray | None:
+    """The mapped cells of the rows left in handle, parsed by np.loadtxt
+    into one int64 column per schema column, or None unless they are
+    proven equal to what _csv_rows would yield: every row kept, no cell
+    missing.
+
+    On ASCII text numpy and csv.reader split lines into the same cells
+    and skip the same empty lines, and numpy's int64 parse takes exactly
+    the cells that parse_int takes once stripped. numpy raises on any
+    other cell (missing, short, non-integer or past int64) and warns on
+    a table without rows; both give None. The rest is checked here: no
+    missing marker spells an integer, so no parsed cell is missing, and
+    _proven_lines finds each row on one ASCII line with no NUL and no
+    field past csv.field_size_limit(). numpy refuses a quote separator,
+    equality is unproven for whitespace ones, and an input that cannot
+    be read twice could not fall back.
+    """
+    if separator.isspace() or separator == '"' or not handle.seekable():
+        return None
+    if any(marker and not marker.strip(_SIGN_AND_DIGITS)
+           for marker in schema.missing_markers):
+        return None
+    tally: list[int] = []
+    lines = _proven_lines(handle, csv.field_size_limit(), tally)
+    try:
+        with warnings.catch_warnings():
+            # e.g. "input contained no data": any warning leaves it unproven
+            warnings.simplefilter("error")
+            matrix = np.loadtxt(
+                lines, delimiter=separator, usecols=indices, dtype=np.int64,
+                ndmin=2, comments=None, quotechar='"',
+            )
+    except (ValueError, Warning):  # UnicodeDecodeError is a ValueError
+        return None
+    return matrix if tally == [len(matrix)] else None
+
+
+def _proven_lines(
+    lines: Iterable[str], limit: int, tally: list[int]
+) -> Iterator[str]:
+    """Yield lines, and append the count of non-empty ones to tally at
+    the end; stop early, with tally left empty, at a line that is not
+    ASCII, holds NUL (csv rejects it before Python 3.11), or whose
+    characters with those of the empty lines after it exceed limit."""
+    filled = run = 0
+    for line in lines:
+        if line in ("\n", "\r\n", "\r"):  # empty: numpy and csv skip it
+            run += len(line)
+        else:
+            filled += 1
+            run = len(line)
+        if run > limit or not line.isascii() or "\0" in line:
+            return
+        yield line
+    tally.append(filled)
 
 
 def _csv_rows(

@@ -289,9 +289,11 @@ def _build(
 
 
 def build_database(
-    rows: Iterable[tuple[int, Iterable[tuple[str, int]]]],
+    rows: Iterable[tuple[int, Iterable[tuple[str, int]]]]
+    | Mapping[str, Sequence[int]],
 ) -> TransactionDatabase:
-    """Build a database from (tid, [(column, value), ...]) rows.
+    """Build a database from (tid, [(column, value), ...]) rows, or from
+    a mapping of columns as build_database_from_columns takes it.
 
     Tids must be unique non-negative ints but are otherwise free; bit
     positions follow input order. Columns take catalog order from their
@@ -299,19 +301,36 @@ def build_database(
     pairs collapse (a transaction is a set). Raises DuplicateTidError,
     EmptyDatabaseError, or SchemaError (for a bad value, after the last row).
     """
+    if isinstance(rows, Mapping):
+        return build_database_from_columns(rows)
     tids: list[int] = []
-    cells: dict[str, tuple[list[int], list[object]]] = {}
+    # label -> [positions, values]; positions stays None while the
+    # column has had exactly one cell in each row, whose position is
+    # then its index in values
+    cells: dict[str, list] = {}
     for position, (tid, row_items) in enumerate(rows):
         tids.append(tid)
         for column, value in row_items:
             column_cells = cells.get(column)
             if column_cells is None:
                 _check_label(column)
-                column_cells = cells[column] = ([], [])
-            column_cells[0].append(position)
-            column_cells[1].append(value)
+                column_cells = cells[column] = [None, []]
+            positions, values = column_cells
+            if positions is None:
+                if len(values) == position:
+                    values.append(value)
+                    continue
+                positions = column_cells[0] = list(range(len(values)))
+            positions.append(position)
+            values.append(value)
+    shared = np.arange(len(tids))
     columns = [
-        (column, np.array(positions, dtype=np.int64), _int_array(column, values))
+        (
+            column,
+            shared[: len(values)] if positions is None
+            else np.array(positions, dtype=np.int64),
+            _int_array(column, values),
+        )
         for column, (positions, values) in cells.items()
     ]
     cells.clear()  # free the lists before _build's per-column temporaries

@@ -314,6 +314,17 @@ def test_csv_with_an_oversized_field_exits_1(tmp_path, capsys, command):
     assert err.count("\n") == 1
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("data", ["", "\n\n"], ids=["header_only", "blank_lines"])
+def test_mine_on_a_table_without_data_rows_prints_one_error(tmp_path, capsys, data):
+    path = tmp_path / "table.csv"
+    path.write_text("a,b\n" + data, encoding="utf-8")
+    assert cli.main(["mine", "--input", str(path), "--out-dir", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {path}: no rows survived the 'drop_row' policy\n"
+    )
+
+
 @pytest.mark.parametrize("markers", ['"NA"', "5", '[["NA"]]'])
 def test_schema_with_non_list_missing_markers_exits_2(uniform_csv, tmp_path, capsys, markers):
     schema = tmp_path / "schema.json"

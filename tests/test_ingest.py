@@ -2,6 +2,9 @@ from __future__ import annotations
 
 import csv
 import json
+import os
+import threading
+import warnings
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,6 +17,7 @@ from rulemine import (
     SchemaConfig,
     SchemaError,
     build_database,
+    build_database_from_columns,
     export_transactions,
     generic_schema,
     load_csv,
@@ -21,6 +25,7 @@ from rulemine import (
     load_transactions,
     resolve_schema,
 )
+from rulemine import ingest
 from rulemine.ingest import MISSING_POLICIES
 
 
@@ -472,16 +477,22 @@ def _reference_load(path, schema, stats):
     return build_database(rows)
 
 
-_cells = st.one_of(
+_int_cells = st.one_of(
     st.builds(
         lambda before, value, after: f"{before}{value}{after}",
         st.sampled_from(["", " ", "  "]),
         st.integers(-3, 12),
         st.sampled_from(["", " ", "\t"]),
     ),
+    st.sampled_from(['"2"', '"2" ', '"2"3']),  # quoted spellings of 2 and 23
+)
+_cells = st.one_of(
+    _int_cells,
     st.sampled_from(
         ["", "NA", "?", "-", "9223372036854775808", " -9223372036854775809", "abc"]
     ),
+    # not integers, once csv has read them; some are whitespace-only lines
+    st.sampled_from([' "2"', '""', " ", "\t", "\x0c"]),
 )
 
 
@@ -497,18 +508,28 @@ def test_streamed_load_matches_reference(tmp_path_factory, data):
         columns=tuple((source, f"x{source}") for source in mapped),
         missing_policy=data.draw(st.sampled_from(MISSING_POLICIES), label="policy"),
         missing_markers=data.draw(
-            st.sampled_from([{"", "NA", "?"}, {"-"}, {"", "NA", "?", "-"}]),
+            st.sampled_from(
+                [{"", "NA", "?"}, {"-"}, {"", "NA", "?", "-"}, {"-1"}, {"0", ""}]
+            ),
             label="markers",
         ),
     )
     # a record of no cells is a blank line; fewer than width is a short row
     records = data.draw(
-        st.lists(st.lists(_cells, max_size=width + 1), max_size=8), label="rows"
+        st.lists(st.lists(_cells, max_size=width + 1), max_size=8)
+        | st.lists(st.lists(_int_cells, min_size=width, max_size=width), max_size=8),
+        label="rows",
     )
+    separator = data.draw(st.sampled_from([",", ";", "|"]), label="separator")
+    line_end = data.draw(st.sampled_from(["\n", "\r\n", "\r"]), label="line end")
+    bom = data.draw(st.sampled_from(["", "\ufeff"]), label="bom")
     path = tmp_path_factory.mktemp("streamed") / "table.csv"
-    path.write_text("\n".join(map(",".join, [header] + records)) + "\n")
 
-    def outcome(load):
+    def outcome(load, separator=","):
+        # _reference_load reads commas: the same table is written with
+        # the separator under test for load_csv only, at the same path
+        lines = map(separator.join, [header] + records)
+        path.write_bytes((bom + line_end.join(lines) + line_end).encode())
         stats: dict = {}
         try:
             result = load(path, schema, stats)
@@ -516,5 +537,94 @@ def test_streamed_load_matches_reference(tmp_path_factory, data):
             result = (type(exc), str(exc))
         return result, stats
 
-    streamed = outcome(lambda p, s, stats: load_csv(p, s, stats=stats))
+    streamed = outcome(
+        lambda p, s, stats: load_csv(p, s, separator=separator, stats=stats),
+        separator,
+    )
     assert streamed == outcome(_reference_load)
+
+
+def test_clean_table_skips_the_streamed_path(tmp_path, monkeypatch):
+    path = tmp_path / "table.csv"
+    path.write_bytes(
+        b'\xef\xbb\xbfa;b;notes\r\n1;"2" ;text\r\n\r\n-3;+4;"x;y"\r\n'
+    )
+    expected = build_database_from_columns({"a": [1, -3], "b": [2, 4]})
+
+    def streamed(*args):
+        raise AssertionError("a clean table took the streamed path")
+
+    monkeypatch.setattr(ingest, "_csv_rows", streamed)
+    stats: dict = {}
+    schema = SchemaConfig(name="t", columns=(("a", "a"), ("b", "b")))
+    assert load_csv(path, schema, separator=";", stats=stats) == expected
+    assert stats == {"rows_read": 2, "rows_dropped": 0, "rows_kept": 2}
+
+
+def _outcome(path, schema):
+    stats: dict = {}
+    try:
+        db = load_csv(path, schema, stats=stats)
+    except IngestError as exc:
+        return type(exc), str(exc), stats
+    return db, stats
+
+
+_A_ONLY = SchemaConfig(name="t", columns=(("a", "a"),))
+_LIMIT = 131_072  # csv.field_size_limit() by default
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "a,b\n\u09682,1\n",  # numpy's parser reads a Devanagari digit as 23602
+        "a,b\n1,\x00\n",  # csv rejects NUL before Python 3.11
+        "a,b\n1," + "x" * _LIMIT + "\n",
+        "a,b\n" + " " * _LIMIT + "1,2\n",
+        'a,b\n1,"' + "x" * (_LIMIT // 2) + "\n" + "x" * (_LIMIT // 2) + '"\n',
+        'a,b\n1,"x\n' + "\n" * _LIMIT,
+    ],
+    ids=["non_ascii_digit", "nul", "long_field", "padded_cell", "long_multiline_field",
+         "long_unclosed_field"],
+)
+def test_tables_numpy_would_misread_take_the_streamed_path(tmp_path, monkeypatch, text):
+    path = tmp_path / "table.csv"
+    path.write_text(text, encoding="utf-8", newline="")
+    either = _outcome(path, _A_ONLY)
+    monkeypatch.setattr(ingest, "_numpy_matrix", lambda *args: None)
+    assert either == _outcome(path, _A_ONLY)
+
+
+@pytest.mark.parametrize("separator", ['"', "\t", " "], ids=["quote", "tab", "space"])
+def test_quote_and_whitespace_separators(tmp_path, separator):
+    path = _write(tmp_path, f"a{separator}b\n1{separator}2\n")
+    assert load_csv(path, separator=separator) == build_database_from_columns(
+        {"a": [1], "b": [2]}
+    )
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs a named pipe")
+def test_unseekable_input_is_streamed(tmp_path):
+    fifo = tmp_path / "table.csv"
+    os.mkfifo(fifo)
+    writer = threading.Thread(
+        target=fifo.write_text, args=("a,b\n1,NA\n2,3\n",), daemon=True
+    )
+    writer.start()
+    stats: dict = {}
+    db = load_csv(fifo, stats=stats)
+    writer.join(timeout=10)
+    assert not writer.is_alive()
+    assert db == build_database([(0, [("a", 2), ("b", 3)])])
+    assert stats == {"rows_read": 2, "rows_dropped": 1, "rows_kept": 1}
+
+
+@pytest.mark.parametrize("action", ["error", "always"])
+@pytest.mark.parametrize("data", ["", "\n\n", "\r\n\r\n"], ids=["header_only", "lf", "crlf"])
+def test_table_without_data_rows_warns_nothing(tmp_path, data, action):
+    path = _write(tmp_path, "a,b\n" + data)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter(action)
+        with pytest.raises(IngestError, match="no rows survived the 'drop_row' policy"):
+            load_csv(path)
+    assert caught == []
