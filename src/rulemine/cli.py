@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import json
 import os
 import sys
@@ -146,33 +147,31 @@ def _check_path(flag: str, path: object) -> None:
         raise ConfigError(f"{flag} must be a path, got {path!r}")
 
 
-def _validate_mine_args(args: argparse.Namespace) -> None:
-    """Check the mine flags before any file is read. A replayed manifest
-    may hold any JSON value, so types are checked along with ranges; a
-    JSON true or false is no number, though bool is an int subclass."""
-    for flag, value in (
-        ("--min-support", args.min_support),
-        ("--min-confidence", args.min_confidence),
-    ):
-        if type(value) not in (int, float) or not 0.0 < value <= 1.0:
-            raise ConfigError(f"{flag} must lie in (0,1]")
-    if args.max_len is not None and not (
-        type(args.max_len) is int and args.max_len >= 1
-    ):
-        raise ConfigError("--max-len must be a positive integer")
+def _validate_mine_args(
+    args: argparse.Namespace,
+) -> tuple[MiningConfig, RuleConfig]:
+    """Check the mine flags before any file is read and return the
+    configs to mine with. MiningConfig and RuleConfig hold the range
+    rules of the thresholds, --max-len and include_empty_lhs; the checks
+    here cover the flags no config holds. A replayed manifest may hold
+    any JSON value, so types are checked along with ranges."""
+    mining = MiningConfig(args.min_support, args.max_len)
+    orderings = sorted(ORDERINGS)
+    if args.ordering not in orderings:
+        raise ConfigError(f"--ordering must be one of: {', '.join(orderings)}")
+    rule_config = RuleConfig(
+        min_confidence=args.min_confidence,
+        include_empty_lhs=args.include_empty_lhs,
+        ordering=args.ordering,
+    )
     if type(args.workers) is not int or args.workers < 1:
         raise ConfigError("--workers must be a positive integer")
     _check_precision(args.precision)
     if args.format not in ("csv", "json"):
         raise ConfigError("--format must be one of: csv, json")
-    if type(args.include_empty_lhs) is not bool:
-        raise ConfigError("include_empty_lhs must be true or false")
     separator = args.separator  # csv rejects NUL before Python 3.11
     if not isinstance(separator, str) or len(separator) != 1 or separator == "\0":
         raise ConfigError("--separator must be a single character")
-    orderings = sorted(ORDERINGS)
-    if args.ordering not in orderings:
-        raise ConfigError(f"--ordering must be one of: {', '.join(orderings)}")
     if not args.input:
         raise ConfigError("--input is required")
     for flag, path in (
@@ -181,6 +180,7 @@ def _validate_mine_args(args: argparse.Namespace) -> None:
         ("--out-dir", args.out_dir),
     ):
         _check_path(flag, path)
+    return mining, rule_config
 
 
 def cmd_mine(args: argparse.Namespace) -> int:
@@ -188,7 +188,7 @@ def cmd_mine(args: argparse.Namespace) -> int:
         args = _args_from_manifest(args)
     if args.out_dir is None:
         args.out_dir = "out"
-    _validate_mine_args(args)
+    mining, rule_config = _validate_mine_args(args)
     # absolute paths let the manifest replay from any working directory
     args.input = os.path.abspath(args.input)
     if args.schema not in SCHEMA_PRESETS and args.schema != "generic":
@@ -203,16 +203,10 @@ def cmd_mine(args: argparse.Namespace) -> int:
     db = load_csv(args.input, schema, separator=args.separator, stats=stats)
     t_load = time.perf_counter() - t0
 
-    mining = MiningConfig(args.min_support, args.max_len)
     t0 = time.perf_counter()
     frequent = mine_frequent(db, mining, workers=args.workers)
     t_mine = time.perf_counter() - t0
 
-    rule_config = RuleConfig(
-        min_confidence=args.min_confidence,
-        include_empty_lhs=args.include_empty_lhs,
-        ordering=args.ordering,
-    )
     t0 = time.perf_counter()
     rules = generate_rules(frequent, rule_config)
     t_rules = time.perf_counter() - t0
@@ -250,13 +244,8 @@ def cmd_mine(args: argparse.Namespace) -> int:
                 db.total,
                 staged[rules_json_path],
                 column_sources=sources,
-                mining={"min_support": args.min_support, "max_len": args.max_len},
-                rule_config={
-                    "min_confidence": args.min_confidence,
-                    "include_empty_lhs": args.include_empty_lhs,
-                    "singleton_rhs": False,
-                    "ordering": args.ordering,
-                },
+                mining=dataclasses.asdict(mining),
+                rule_config=dataclasses.asdict(rule_config),
             )
         t_write = time.perf_counter() - t0
 

@@ -5,9 +5,10 @@ the support threshold; level k+1 candidates come from joining frequent
 k-itemsets that share a (k-1)-prefix, pruned by downward closure (every
 k-subset must itself be frequent); candidates are counted exactly
 against the item bitmaps and filtered. Counting reads the database's
-uint64 word matrix (db.words) as it is stored and counts blocks of
-candidates with np.bitwise_count. Levels stay in lexicographic item-id
-order throughout, so output order is deterministic.
+uint64 word matrix (db.words) as it is stored, ANDs each candidate's
+item rows in one chain and counts blocks of candidates with
+np.bitwise_count. Levels stay in lexicographic item-id order
+throughout, so output order is deterministic.
 
 The threshold formula lives in exactly one place, min_count, which
 meets_threshold, the rule generator and the brute-force oracle all go
@@ -56,18 +57,21 @@ def valid_threshold(value: object) -> bool:
 
 @dataclass(frozen=True)
 class MiningConfig:
-    """min_support in (0, 1]; max_len caps itemset size (None = unlimited)."""
+    """min_support in (0, 1]; max_len caps itemset size (None = unlimited).
+
+    The range rules of the mine flags live here; their messages use the
+    flag spelling, so the CLI raises them as they are."""
 
     min_support: float
     max_len: int | None = None
 
     def __post_init__(self) -> None:
         if not valid_threshold(self.min_support):
-            raise ConfigError("min-support must lie in (0,1]")
+            raise ConfigError("--min-support must lie in (0,1]")
         if self.max_len is not None and (
             type(self.max_len) is not int or self.max_len < 1
         ):
-            raise ConfigError("max-len must be a positive integer or omitted")
+            raise ConfigError("--max-len must be a positive integer")
 
 
 class Itemset(NamedTuple):
@@ -179,13 +183,11 @@ def count_candidates(
 ) -> list[Itemset]:
     """Annotate each candidate with its exact count, preserving order.
 
-    Each block of candidates becomes a table of rows of db.words, at
-    least two columns wide, shorter keys left-padded with their own
-    first item (x & x is x), so keys of any mix of sizes line up. A
-    block ANDs each run of consecutive candidates that share all but
-    their last column once (an Eclat prefix class), gathers those
-    prefixes, ANDs in each candidate's last item and counts the bits
-    with np.bitwise_count.
+    Each block of candidates becomes a table of rows of db.words, shorter
+    keys left-padded with their own first item (x & x is x), so keys of
+    any mix of sizes line up. Each candidate's rows are ANDed in one
+    chain, k-1 ANDs on a level of k-item keys, and the bits counted with
+    np.bitwise_count.
     """
     words = db.words
     count_type = np.min_scalar_type(db.total)  # a count never exceeds total
@@ -199,20 +201,14 @@ def count_candidates(
         flat = np.fromiter(chain.from_iterable(keys), np.intp, int(lengths.sum()))
         if flat.min() < 0 or flat.max() >= len(words):
             raise UnknownItemError(f"candidate item ids must lie in [0, {len(words)})")
-        width = max(2, int(lengths.max()))
+        width = int(lengths.max())
         firsts = flat[np.cumsum(lengths) - lengths]
         table = np.repeat(firsts[:, None], width, axis=1)
         table[np.arange(width) >= (width - lengths)[:, None]] = flat
 
-        # a run starts wherever the prefix differs from the one before
-        new_run = np.ones(len(keys), bool)
-        new_run[1:] = (table[1:, :-1] != table[:-1, :-1]).any(axis=1)
-        runs = np.flatnonzero(new_run)
-        shared = words[table[runs, 0]]
-        for column in range(1, width - 1):
-            shared &= words[table[runs, column]]
-        hits = shared[np.cumsum(new_run) - 1]  # each candidate's prefix
-        hits &= words[table[:, -1]]
+        hits = words[table[:, 0]]
+        for column in range(1, width):
+            hits &= words[table[:, column]]
         counts = np.bitwise_count(hits).sum(axis=1, dtype=count_type)
         counted.extend(map(Itemset, keys, counts.tolist()))
     return counted

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .errors import PredictionError, UnknownItemError
+from .errors import PredictionError
 from .rules import AssociationRule
 from .txdb import ItemCatalog, ItemId
 
@@ -51,9 +51,7 @@ def predict(
     must not already be among them.
     """
     known = frozenset(known_items)
-    for item_id in known:
-        if not isinstance(item_id, int) or not 0 <= item_id < len(catalog):
-            raise UnknownItemError(f"unknown item id {item_id!r}")
+    for item_id in known:  # catalog.column raises UnknownItemError
         if catalog.column(item_id) == target_column:
             raise PredictionError(
                 f"target column {target_column!r} is already present among "

@@ -149,6 +149,12 @@ ORDERINGS: dict[str, Callable[[AssociationRule], tuple]] = {
 
 @dataclass(frozen=True)
 class RuleConfig:
+    """min_confidence in (0, 1]; include_empty_lhs and singleton_rhs are
+    bools; ordering names a key of ORDERINGS.
+
+    The range rules of the mine flags live here; a message about a value
+    set by a flag uses the flag spelling, so the CLI raises it as it is."""
+
     min_confidence: float
     include_empty_lhs: bool = True
     singleton_rhs: bool = False
@@ -156,7 +162,7 @@ class RuleConfig:
 
     def __post_init__(self) -> None:
         if not valid_threshold(self.min_confidence):
-            raise ConfigError("min-confidence must lie in (0,1]")
+            raise ConfigError("--min-confidence must lie in (0,1]")
         for name in ("include_empty_lhs", "singleton_rhs"):
             if type(getattr(self, name)) is not bool:
                 raise ConfigError(f"{name} must be true or false")

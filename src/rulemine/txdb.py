@@ -165,7 +165,7 @@ class ItemCatalog:
         return tuple(seen)
 
     def _entry(self, item_id: ItemId) -> tuple[str, int]:
-        if not isinstance(item_id, int) or not 0 <= item_id < len(self.entries):
+        if type(item_id) is not int or not 0 <= item_id < len(self.entries):
             raise UnknownItemError(f"unknown item id {item_id!r}")
         return self.entries[item_id]
 
@@ -222,7 +222,7 @@ class TransactionDatabase:
         if not ids:
             return self.total
         for item_id in ids:
-            if not isinstance(item_id, int) or not 0 <= item_id < len(self.words):
+            if type(item_id) is not int or not 0 <= item_id < len(self.words):
                 raise UnknownItemError(f"unknown item id {item_id!r}")
         rows = self.words[np.array(ids, dtype=np.intp)]
         return int(np.bitwise_count(np.bitwise_and.reduce(rows)).sum())

@@ -451,6 +451,27 @@ def test_threshold_validation_exits_2(uniform_csv, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "setting, message",
+    [
+        (("--min-support", "0"), "--min-support must lie in (0,1]"),
+        (("--min-confidence", "2"), "--min-confidence must lie in (0,1]"),
+        (("--max-len", "0"), "--max-len must be a positive integer"),
+    ],
+)
+@pytest.mark.parametrize("missing", ["--input", "--schema"])
+def test_settings_are_checked_before_any_file_is_read(
+    uniform_csv, tmp_path, capsys, missing, setting, message
+):
+    paths = {"--input": str(uniform_csv), "--schema": "generic"}
+    paths[missing] = str(tmp_path / "missing.file")
+    argv = ["mine", "--out-dir", str(tmp_path / "out"), *setting]
+    for flag, path in paths.items():
+        argv += [flag, path]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_argparse_usage_errors_exit_2(capsys):
     assert cli.main([]) == 2
     assert cli.main(["mine", "--nope"]) == 2

@@ -195,8 +195,8 @@ def test_count_candidates_across_blocks(monkeypatch):
     db = _database_of(200, 8, seed=3)
     row_bytes = 8 * -(-db.total // 64)
     monkeypatch.setattr(miner, "BLOCK_BYTES", 3 * row_bytes)  # 3 per block
-    # the run of prefix (0, 1) spans candidates 1..5, across the first
-    # block boundary (after 3) and the second (after 6)
+    # keys of mixed sizes, the 3-item ones with prefix (0, 1) spanning
+    # the first block boundary (after 3) and the second (after 6)
     keys = [(0,), (0, 1, 2), (0, 1, 3), (0, 1, 4), (0, 1, 5), (0, 1, 6),
             (0, 2), (2, 3, 4), (2, 3, 5), (5,), (1, 2, 3, 4)]  # fmt: skip
     candidates = [Itemset(key) for key in keys]

@@ -109,6 +109,19 @@ def test_unknown_item_ids_are_rejected(headline_setup):
         predict([-1], rules, "item1", db.catalog)
 
 
+def test_bool_item_ids_are_rejected():
+    # bool is an int subclass, yet True and False name no item
+    db = build_database_from_columns({"a": [3, 4, 3], "b": [1, 1, 2]})
+    with pytest.raises(UnknownItemError):
+        db.catalog.render(True)
+    with pytest.raises(UnknownItemError):
+        db.catalog.column(False)
+    with pytest.raises(UnknownItemError):
+        db.support_count([True])
+    with pytest.raises(UnknownItemError):
+        predict([True], [], "b", db.catalog)
+
+
 def test_functional_dependency_is_recovered():
     # b is a pure function of a; mining plus prediction must read it back
     rows = [(t, [("a", t % 3), ("b", t % 3 + 10)]) for t in range(30)]
