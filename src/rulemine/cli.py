@@ -152,13 +152,10 @@ def _validate_mine_args(
 ) -> tuple[MiningConfig, RuleConfig]:
     """Check the mine flags before any file is read and return the
     configs to mine with. MiningConfig and RuleConfig hold the range
-    rules of the thresholds, --max-len and include_empty_lhs; the checks
-    here cover the flags no config holds. A replayed manifest may hold
-    any JSON value, so types are checked along with ranges."""
+    rules of the thresholds, --max-len, --ordering and include_empty_lhs;
+    the checks here cover the flags no config holds. A replayed manifest
+    may hold any JSON value, so types are checked along with ranges."""
     mining = MiningConfig(args.min_support, args.max_len)
-    orderings = sorted(ORDERINGS)
-    if args.ordering not in orderings:
-        raise ConfigError(f"--ordering must be one of: {', '.join(orderings)}")
     rule_config = RuleConfig(
         min_confidence=args.min_confidence,
         include_empty_lhs=args.include_empty_lhs,

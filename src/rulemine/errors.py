@@ -31,7 +31,8 @@ class DatabaseError(RulemineError):
 
 
 class DuplicateTidError(DatabaseError):
-    """Two rows claimed the same transaction id."""
+    """A row's transaction id is not its ordinal (a duplicate, a gap or
+    not an int)."""
 
 
 class EmptyDatabaseError(DatabaseError):

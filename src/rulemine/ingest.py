@@ -20,6 +20,14 @@ keeps the items that are present. Fully missing rows are always dropped.
 Every other mapped cell must be an optional sign then ASCII digits.
 Transaction ids are the 0-based ordinals of surviving rows.
 
+Item ids follow the catalog order: column of first appearance among the
+kept rows, then ascending value. Under drop_row every kept row holds
+every column, so that is schema order. Under partial_row a column whose
+cell is missing in the first kept rows comes after the columns that are
+present there: a,b over the rows "NA,1", "2,1", "2,3" gives the columns
+(b, a). That order is the one an export lists each row's items in, so
+load_transactions of the export equals the database.
+
 load_csv reads the rows on one of two paths, which give the same
 database, row counts and errors. A clean table (one ASCII line per row,
 every mapped cell an integer that fits int64, none missing) is parsed
@@ -93,7 +101,8 @@ class SchemaConfig:
         return tuple(label for _, label in self.columns)
 
 
-# Hodge-number table presets. Column order matters: it fixes item ids.
+# Hodge-number table presets. Column order matters: under drop_row it
+# fixes item ids.
 CICY5_SCHEMA = SchemaConfig(
     name="cicy5",
     columns=(
@@ -161,17 +170,16 @@ def load_schema_file(path: str | os.PathLike) -> SchemaConfig:
     )
 
 
-def resolve_schema(identifier: str, header: Sequence[str] | None = None):
+def resolve_schema(identifier: str) -> SchemaConfig | None:
     """Preset name, "generic", or a path to a schema file.
 
-    "generic" needs the CSV header and maps every column to itself.
+    "generic" gives None: load_csv then maps every column of the CSV
+    header to itself.
     """
     if identifier in SCHEMA_PRESETS:
         return SCHEMA_PRESETS[identifier]
     if identifier == "generic":
-        if header is None:
-            return None  # resolved against the header at load time
-        return generic_schema(header)
+        return None
     return load_schema_file(identifier)
 
 
@@ -398,7 +406,9 @@ def load_transactions(path: str | os.PathLike) -> TransactionDatabase:
 
 
 def _exported_rows(path: str | os.PathLike, lines: Iterable[str]) -> Iterator[Row]:
-    """Yield (tid, [(column, value), ...]) for each non-blank line."""
+    """Yield (tid, [(column, value), ...]) for each non-blank line; its
+    tid must be its ordinal among those lines."""
+    ordinal = 0
     for lineno, line in enumerate(lines, start=1):
         line = line.rstrip("\n")
         if not line:
@@ -410,8 +420,14 @@ def _exported_rows(path: str | os.PathLike, lines: Iterable[str]) -> Iterator[Ro
             raise IngestError(
                 f"{path}:{lineno}: expected a transaction id, got {first!r}"
             ) from None
+        if tid != ordinal:
+            raise IngestError(
+                f"{path}:{lineno}: transaction id {tid} is not the row's "
+                f"ordinal, {ordinal}"
+            )
         try:
             items = [parse_item(token) for token in tokens]
         except ValueError as exc:
             raise IngestError(f"{path}:{lineno}: {exc}") from None
         yield tid, items
+        ordinal += 1

@@ -50,13 +50,14 @@ def predict(
     known_items must be ids of the ruleset's catalog; the target column
     must not already be among them.
     """
-    known = frozenset(known_items)
-    for item_id in known:  # catalog.column raises UnknownItemError
+    ids = list(known_items)
+    for item_id in ids:  # catalog.column raises UnknownItemError
         if catalog.column(item_id) == target_column:
             raise PredictionError(
                 f"target column {target_column!r} is already present among "
                 f"the known items ({catalog.render(item_id)})"
             )
+    known = frozenset(ids)
 
     best: dict[ItemId, AssociationRule] = {}
     for rule in rules:

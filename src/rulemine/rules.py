@@ -168,9 +168,7 @@ class RuleConfig:
                 raise ConfigError(f"{name} must be true or false")
         if not isinstance(self.ordering, str) or self.ordering not in ORDERINGS:
             known = ", ".join(sorted(ORDERINGS))
-            raise ConfigError(
-                f"unknown ordering {self.ordering!r} (expected one of: {known})"
-            )
+            raise ConfigError(f"--ordering must be one of: {known}")
 
 
 def generate_rules(
@@ -277,18 +275,15 @@ def write_rules_csv(
     catalog: ItemCatalog,
     path: str | os.PathLike,
     precision: int = 4,
-    extended: bool = False,
 ) -> None:
-    """Rule table in the reference column layout, one rule per line.
-
-    The first eight columns are always rule,LHS,RHS,support,confidence,
-    coverage,lift,count; extended appends conviction,leverage.
-    """
+    """Rule table in the reference column layout (CSV_COLUMNS:
+    rule,LHS,RHS,support,confidence,coverage,lift,count), one rule per
+    line."""
     with open(path, "w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(CSV_COLUMNS_EXTENDED if extended else CSV_COLUMNS)
+        writer.writerow(CSV_COLUMNS)
         for position, rule in enumerate(rules, start=1):
-            writer.writerow(rule_row(position, rule, catalog, precision, extended))
+            writer.writerow(rule_row(position, rule, catalog, precision, False))
 
 
 @dataclass(frozen=True)

@@ -13,12 +13,12 @@ Key ideas:
   of ANDs plus one popcount, and the horizontal rows (`transactions`)
   are unpacked from it only when asked for.
 - One private builder packs each column's bitmaps in one scatter;
-  build_database (rows) and build_database_from_columns (a mapping, its
-  tids the row ordinals) adapt their input to it under one value rule.
+  build_database (rows) and build_database_from_columns (a mapping)
+  adapt their input to it under one value rule.
 - Databases are frozen after construction.
 
-Bit positions are row ordinals (0..total-1). Transaction ids are labels
-carried alongside; they take part in equality but not in bit layout.
+A row's transaction id is its ordinal (0..total-1), which is also its
+bit position, so no id is stored.
 """
 
 from __future__ import annotations
@@ -172,14 +172,10 @@ class ItemCatalog:
 
 @dataclass(frozen=True, eq=False)
 class TransactionDatabase:
-    """Immutable table stored as one bitmap row of `words` per item.
-
-    tids is range(total) when the tids are the row ordinals and a tuple
-    otherwise, so two databases of the same table compare equal.
-    """
+    """Immutable table stored as one bitmap row of `words` per item;
+    row i has tid i."""
 
     catalog: ItemCatalog
-    tids: Sequence[int]
     words: np.ndarray
     item_counts: tuple[int, ...]
     total: int
@@ -191,7 +187,6 @@ class TransactionDatabase:
             return NotImplemented
         return (
             self.catalog == other.catalog
-            and self.tids == other.tids
             and self.total == other.total
             and self.item_counts == other.item_counts
             and np.array_equal(self.words, other.words)
@@ -209,7 +204,7 @@ class TransactionDatabase:
         )
         return tuple(
             Transaction(tid, tuple(np.flatnonzero(row).tolist()))
-            for tid, row in zip(self.tids, member.T)
+            for tid, row in enumerate(member.T)
         )
 
     def support_count(self, itemset: Iterable[ItemId]) -> int:
@@ -218,31 +213,14 @@ class TransactionDatabase:
         The empty itemset is contained in every transaction, so its
         count is total.
         """
-        ids = sorted(set(itemset))
-        if not ids:
-            return self.total
+        ids = list(itemset)
         for item_id in ids:
             if type(item_id) is not int or not 0 <= item_id < len(self.words):
                 raise UnknownItemError(f"unknown item id {item_id!r}")
-        rows = self.words[np.array(ids, dtype=np.intp)]
+        if not ids:
+            return self.total
+        rows = self.words[ids]  # AND is idempotent: repeats need no dedup
         return int(np.bitwise_count(np.bitwise_and.reduce(rows)).sum())
-
-
-def _check_tids(tids: list[int]) -> Sequence[int]:
-    """Validate tids and return their canonical form (see TransactionDatabase)."""
-    ordinals = range(len(tids))
-    if set(map(type, tids)) <= {int} and all(map(int.__eq__, tids, ordinals)):
-        return ordinals
-    seen: set[int] = set()
-    for tid in tids:
-        if not isinstance(tid, int) or isinstance(tid, bool) or tid < 0:
-            raise DuplicateTidError(
-                f"tid must be a non-negative int, got {tid!r}"
-            )
-        if tid in seen:
-            raise DuplicateTidError(f"duplicate tid {tid}")
-        seen.add(tid)
-    return tuple(tids)
 
 
 def _int_array(column: str, values: Sequence[object]) -> np.ndarray:
@@ -258,13 +236,12 @@ def _int_array(column: str, values: Sequence[object]) -> np.ndarray:
 
 
 def _build(
-    columns: Sequence[tuple[str, np.ndarray, np.ndarray]], tids: Sequence[int]
+    columns: Sequence[tuple[str, np.ndarray, np.ndarray]], total: int
 ) -> TransactionDatabase:
     """The one builder: (label, row positions, integer values) per
     column, in catalog column order. One scatter per column ORs each
     cell's bit into its value's row, so a row may hold several values of
     one column and a repeated (position, value) pair sets its bit once."""
-    total = len(tids)
     if total == 0:
         raise EmptyDatabaseError("cannot build a database from zero rows")
     n_words = -(-total // 64)
@@ -281,7 +258,6 @@ def _build(
     words.flags.writeable = False
     return TransactionDatabase(
         catalog=ItemCatalog(tuple(entries)),
-        tids=tids,
         words=words,
         item_counts=tuple(np.bitwise_count(words).sum(axis=1).tolist()),
         total=total,
@@ -295,21 +271,26 @@ def build_database(
     """Build a database from (tid, [(column, value), ...]) rows, or from
     a mapping of columns as build_database_from_columns takes it.
 
-    Tids must be unique non-negative ints but are otherwise free; bit
-    positions follow input order. Columns take catalog order from their
-    first appearance in row order. Within a row, repeated identical
-    pairs collapse (a transaction is a set). Raises DuplicateTidError,
-    EmptyDatabaseError, or SchemaError (for a bad value, after the last row).
+    Each row's tid must be its ordinal, the int 0, 1, 2, ... in input
+    order; DuplicateTidError names the first row whose tid is not.
+    Columns take catalog order from their first appearance in row order.
+    Within a row, repeated identical pairs collapse (a transaction is a
+    set). Also raises EmptyDatabaseError, or SchemaError (for a bad
+    value, after the last row).
     """
     if isinstance(rows, Mapping):
         return build_database_from_columns(rows)
-    tids: list[int] = []
     # label -> [positions, values]; positions stays None while the
     # column has had exactly one cell in each row, whose position is
     # then its index in values
     cells: dict[str, list] = {}
+    position = -1  # stays -1 when there are no rows
     for position, (tid, row_items) in enumerate(rows):
-        tids.append(tid)
+        if type(tid) is not int or tid != position:
+            raise DuplicateTidError(
+                f"row {position} has tid {tid!r}; a row's tid must be its "
+                f"ordinal, {position}"
+            )
         for column, value in row_items:
             column_cells = cells.get(column)
             if column_cells is None:
@@ -323,7 +304,8 @@ def build_database(
                 positions = column_cells[0] = list(range(len(values)))
             positions.append(position)
             values.append(value)
-    shared = np.arange(len(tids))
+    total = position + 1
+    shared = np.arange(total)
     columns = [
         (
             column,
@@ -334,14 +316,14 @@ def build_database(
         for column, (positions, values) in cells.items()
     ]
     cells.clear()  # free the lists before _build's per-column temporaries
-    return _build(columns, _check_tids(tids))
+    return _build(columns, total)
 
 
 def build_database_from_columns(
     columns: Mapping[str, Sequence[int]],
 ) -> TransactionDatabase:
     """Columnar input: a mapping of label to equal-length integer
-    columns, no missing cells; the tids are the row ordinals.
+    columns, no missing cells.
 
     Produces exactly what build_database would for the row-wise form of
     the same table, under the same value rule: an integer ndarray is
@@ -363,4 +345,4 @@ def build_database_from_columns(
                 f"column {name!r} has {len(values)} rows, expected {total}"
             )
         arrays.append((name, positions, values))
-    return _build(arrays, range(total))
+    return _build(arrays, total)

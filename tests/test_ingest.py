@@ -86,6 +86,16 @@ def test_partial_row_policy(tmp_path):
         (db.catalog.id_of("b", 2),),
         (db.catalog.id_of("a", 1), db.catalog.id_of("b", 2)),
     ]
+    # item ids follow first appearance among the kept rows, not schema
+    # order, and the export lists items in that order
+    late_a = load_csv(
+        _write(tmp_path, "a,b\nNA,1\n2,1\n2,3\n", name="late.csv"), schema
+    )
+    assert late_a.catalog.columns == ("b", "a")
+    exported = tmp_path / "late.txt"
+    export_transactions(late_a, exported)
+    assert exported.read_text(encoding="utf-8") == "0,b=1\n1,b=1,a=2\n2,b=3,a=2\n"
+    assert load_transactions(exported) == late_a
 
 
 def test_fully_missing_rows_always_drop(tmp_path):
@@ -263,7 +273,6 @@ def test_resolve_schema(tmp_path):
     assert resolve_schema("cicy5") is CICY5_SCHEMA
     assert resolve_schema("cicy6") is CICY6_SCHEMA
     assert resolve_schema("generic") is None
-    assert resolve_schema("generic", ["a"]).columns == (("a", "a"),)
     document = {"name": "mine", "columns": [["h11", "item1"]]}
     path = tmp_path / "schema.json"
     path.write_text(json.dumps(document), encoding="utf-8")
@@ -335,16 +344,16 @@ def test_export_exact_bytes(tmp_path):
 
 def test_export_load_round_trip(tmp_path):
     rows = [
-        (10, [("a", 1), ("b", 2)]),
-        (20, []),
-        (35, [("a", 1), ("c", -3)]),
+        (0, [("a", 1), ("b", 2)]),
+        (1, []),
+        (2, [("a", 1), ("c", -3)]),
     ]
     db = build_database(rows)
     path = tmp_path / "tx.txt"
     export_transactions(db, path)
     again = load_transactions(path)
     assert again == db
-    assert [t.tid for t in again.transactions] == [10, 20, 35]
+    assert [t.tid for t in again.transactions] == [0, 1, 2]
 
 
 def test_round_trip_from_csv(tmp_path):
@@ -371,6 +380,18 @@ def test_load_transactions_errors(tmp_path):
     empty = _write(tmp_path, "\n\n", name="t4.txt")
     with pytest.raises(IngestError, match="no transactions"):
         load_transactions(empty)
+
+
+@pytest.mark.parametrize(
+    "text, lineno, tid",
+    [("1,a=1\n", 1, 1), ("0\n0\n", 2, 0), ("0\n\n2,a=1\n", 3, 2), ("-1\n", 1, -1)],
+    ids=["gap-first", "duplicate", "gap-after-blank", "negative"],
+)
+def test_load_transactions_rejects_a_tid_not_its_ordinal(tmp_path, text, lineno, tid):
+    path = _write(tmp_path, text, name="tx.txt")
+    message = rf"tx\.txt:{lineno}: transaction id {tid} is not the row's ordinal"
+    with pytest.raises(IngestError, match=message):
+        load_transactions(path)
 
 
 def test_negative_values_parse(tmp_path):

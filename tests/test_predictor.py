@@ -120,6 +120,12 @@ def test_bool_item_ids_are_rejected():
         db.support_count([True])
     with pytest.raises(UnknownItemError):
         predict([True], [], "b", db.catalog)
+    # nor do a mix of types, which sort cannot order, or a list, which
+    # frozenset cannot hash
+    with pytest.raises(UnknownItemError):
+        db.support_count(["x", 1])
+    with pytest.raises(UnknownItemError):
+        predict([[1]], [], "a", db.catalog)
 
 
 def test_functional_dependency_is_recovered():

@@ -177,7 +177,8 @@ def test_ordering_policies():
 
 @pytest.mark.parametrize("ordering", ["lexical", ["default"], None])
 def test_unknown_ordering_rejected(ordering):
-    with pytest.raises(ConfigError, match="unknown ordering"):
+    message = "--ordering must be one of: confidence, default, support"
+    with pytest.raises(ConfigError, match=message):
         RuleConfig(0.8, ordering=ordering)
 
 
@@ -229,7 +230,7 @@ def test_write_rules_csv_exact_bytes(tmp_path, uniform_ab_db):
     )
 
 
-def test_write_rules_csv_extended_renders_inf(tmp_path):
+def test_rule_row_extended_renders_inf():
     rows = [
         (0, [("a", 1), ("b", 1)]),
         (1, [("a", 1), ("b", 1)]),
@@ -238,13 +239,11 @@ def test_write_rules_csv_extended_renders_inf(tmp_path):
     ]
     db = build_database(rows)
     rules = _mined_rules(db, min_confidence=0.8)
-    path = tmp_path / "rules.csv"
-    write_rules_csv(rules, db.catalog, path, extended=True)
-    assert path.read_text(encoding="utf-8") == (
-        "rule,LHS,RHS,support,confidence,coverage,lift,count,conviction,leverage\n"
-        "1,{a=1},{b=1},0.7500,1.0000,0.7500,1.3333,3,inf,0.1875\n"
-        "2,{b=1},{a=1},0.7500,1.0000,0.7500,1.3333,3,inf,0.1875\n"
-    )
+    cells = ["0.7500", "1.0000", "0.7500", "1.3333", "3", "inf", "0.1875"]
+    assert [
+        rule_row(position, rule, db.catalog, 4, True)
+        for position, rule in enumerate(rules, start=1)
+    ] == [["1", "{a=1}", "{b=1}", *cells], ["2", "{b=1}", "{a=1}", *cells]]
 
 
 def test_csv_precision_parameter(tmp_path, uniform_ab_db):
