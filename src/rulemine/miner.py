@@ -4,11 +4,15 @@ The classical algorithm: level 1 keeps every item whose count reaches
 the support threshold; level k+1 candidates come from joining frequent
 k-itemsets that share a (k-1)-prefix, pruned by downward closure (every
 k-subset must itself be frequent); candidates are counted exactly
-against the item bitmaps and filtered. Counting reads the database's
-uint64 word matrix (db.words) as it is stored, ANDs each candidate's
-item rows in one chain and counts blocks of candidates with
-np.bitwise_count. Levels stay in lexicographic item-id order
-throughout, so output order is deterministic.
+against the item bitmaps and filtered. Inside the loop a level is a
+lexicographically sorted (n, k) intp matrix of item ids: the join pairs
+rows within each prefix group with np.repeat, the prune looks subsets up
+with np.searchsorted, and counting reads the database's uint64 word
+matrix (db.words) as it is stored, ANDs each candidate's item rows in
+one chain and counts blocks of candidates with np.bitwise_count. Itemset
+records are built only for the rows that clear the threshold. Levels
+stay in lexicographic item-id order throughout, so output order is
+deterministic.
 
 The threshold formula lives in exactly one place, min_count, which
 meets_threshold, the rule generator and the brute-force oracle all go
@@ -24,7 +28,6 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
-from itertools import chain
 from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -157,20 +160,54 @@ def join_prefix(
                 yield from (base + (last,) for last in later if last in allowed)
 
 
-def candidate_gen(level_k: Sequence[Itemset]) -> list[Itemset]:
+def _as_keys(rows: np.ndarray) -> np.ndarray:
+    """One opaque key per row: its ids as big-endian uint32s, whose bytes
+    (memcmp) order is the rows' lexicographic order."""
+    rows = np.ascontiguousarray(rows, dtype=">u4")
+    return rows.view(f"V{rows.itemsize * rows.shape[1]}").ravel()
+
+
+def candidate_gen(
+    level: np.ndarray | Sequence[Itemset],
+) -> np.ndarray | list[Itemset]:
     """Join frequent k-itemsets sharing a (k-1)-prefix, then prune.
 
-    Input must be lexicographically sorted k-itemsets; output is the
-    sorted list of (k+1)-candidates whose k-subsets are all present,
-    counts unset.
+    The level is a lexicographically sorted (n, k) intp matrix of item
+    ids; the result is the sorted matrix of (k+1)-candidates whose
+    k-subsets are all rows of it. Rows sharing their first k-1 ids form
+    a group (at k=1 the empty prefix is one group), and each row is
+    paired with every later row of its group. The k-subsets that drop
+    one of the last two ids are the joined rows; each other one is
+    looked up among the level's rows. A sorted sequence of k-Itemsets
+    gives the same candidates as Itemsets with counts unset.
     """
-    if not level_k:
-        return []
-    k = len(level_k[0].items)
-    keys = [s.items for s in level_k]
-    if any(len(key) != k for key in keys):
-        raise ConfigError("candidate_gen requires itemsets of uniform size")
-    return list(map(Itemset, join_prefix(keys)))
+    if not isinstance(level, np.ndarray):
+        if not level:
+            return []
+        keys = [s.items for s in level]
+        if any(len(key) != len(keys[0]) for key in keys):
+            raise ConfigError("candidate_gen requires itemsets of uniform size")
+        joined = candidate_gen(np.array(keys, np.intp))
+        return list(map(Itemset, map(tuple, joined.tolist())))
+    n, k = level.shape
+    if n and (level.min() < 0 or level.max() > 0xFFFFFFFF):
+        raise ConfigError("candidate item ids must lie in [0, 2**32)")
+    first = np.ones(n, bool)
+    first[1:] = (level[1:, :-1] != level[:-1, :-1]).any(axis=1)
+    starts = np.flatnonzero(first)
+    sizes = np.diff(starts, append=n)
+    later = np.repeat(starts + sizes, sizes) - np.arange(1, n + 1)
+    left = np.repeat(np.arange(n), later)
+    offset = np.arange(len(left)) - np.repeat(np.cumsum(later) - later, later)
+    joined = np.empty((len(left), k + 1), np.intp)
+    joined[:, :k] = level[left]
+    joined[:, k] = level[left + 1 + offset, k - 1]
+    keys = _as_keys(level)
+    for m in range(k - 1):
+        subsets = _as_keys(np.delete(joined, m, axis=1))
+        found = np.minimum(np.searchsorted(keys, subsets), n - 1)
+        joined = joined[keys[found] == subsets]
+    return joined
 
 
 # Candidates are counted in blocks of about this many bytes of bitmap
@@ -178,40 +215,59 @@ def candidate_gen(level_k: Sequence[Itemset]) -> list[Itemset]:
 BLOCK_BYTES = 1 << 19
 
 
-def count_candidates(
-    db: TransactionDatabase, candidates: Sequence[Itemset]
-) -> list[Itemset]:
-    """Annotate each candidate with its exact count, preserving order.
+@dataclass(frozen=True, eq=False)
+class CountedLevel(Sequence[Itemset]):
+    """Counted candidates, an (n, k) matrix and its n counts; an Itemset
+    is built only when one is indexed."""
 
-    Each block of candidates becomes a table of rows of db.words, shorter
-    keys left-padded with their own first item (x & x is x), so keys of
-    any mix of sizes line up. Each candidate's rows are ANDed in one
-    chain, k-1 ANDs on a level of k-item keys, and the bits counted with
-    np.bitwise_count.
+    rows: np.ndarray
+    counts: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.counts)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[i] for i in range(len(self))[index]]
+        return Itemset(tuple(self.rows[index].tolist()), self.counts[index].item())
+
+
+def count_candidates(
+    db: TransactionDatabase, candidates: np.ndarray | Sequence[Itemset]
+) -> CountedLevel | list[Itemset]:
+    """Count each candidate exactly, preserving order.
+
+    An (n, k) intp matrix of item ids gives a CountedLevel. The db.words
+    rows of a candidate's k items are ANDed in one chain, k-1 ANDs, and
+    the bits counted with np.bitwise_count, a block of candidates at a
+    time. A sequence of Itemsets gives a list of Itemsets with their
+    counts; its keys become one matrix, shorter keys left-padded with
+    their own first item (x & x is x), so keys of any mix of sizes line
+    up.
     """
+    if not isinstance(candidates, np.ndarray):
+        keys = [c.items for c in candidates]
+        if not all(keys):
+            raise ConfigError("cannot count the empty itemset as a candidate")
+        width = max(map(len, keys), default=1)
+        padded = [key[:1] * (width - len(key)) + key for key in keys]
+        table = np.array(padded, np.intp).reshape(len(keys), width)
+        return list(map(Itemset, keys, count_candidates(db, table).counts.tolist()))
     words = db.words
+    if candidates.shape[1] == 0:
+        raise ConfigError("cannot count the empty itemset as a candidate")
+    if candidates.size and (candidates.min() < 0 or candidates.max() >= len(words)):
+        raise UnknownItemError(f"candidate item ids must lie in [0, {len(words)})")
     count_type = np.min_scalar_type(db.total)  # a count never exceeds total
     per_block = max(1, BLOCK_BYTES // (words.itemsize * words.shape[1]))
-    counted: list[Itemset] = []
+    counts = np.empty(len(candidates), count_type)
     for start in range(0, len(candidates), per_block):
-        keys = [c.items for c in candidates[start : start + per_block]]
-        lengths = np.fromiter(map(len, keys), np.intp, len(keys))
-        if lengths.min() == 0:
-            raise ConfigError("cannot count the empty itemset as a candidate")
-        flat = np.fromiter(chain.from_iterable(keys), np.intp, int(lengths.sum()))
-        if flat.min() < 0 or flat.max() >= len(words):
-            raise UnknownItemError(f"candidate item ids must lie in [0, {len(words)})")
-        width = int(lengths.max())
-        firsts = flat[np.cumsum(lengths) - lengths]
-        table = np.repeat(firsts[:, None], width, axis=1)
-        table[np.arange(width) >= (width - lengths)[:, None]] = flat
-
-        hits = words[table[:, 0]]
-        for column in range(1, width):
-            hits &= words[table[:, column]]
-        counts = np.bitwise_count(hits).sum(axis=1, dtype=count_type)
-        counted.extend(map(Itemset, keys, counts.tolist()))
-    return counted
+        block = candidates[start : start + per_block]
+        hits = words[block[:, 0]]
+        for column in range(1, block.shape[1]):
+            hits &= words[block[:, column]]
+        counts[start : start + per_block] = np.bitwise_count(hits).sum(1, count_type)
+    return CountedLevel(candidates, counts)
 
 
 def mine_frequent(
@@ -225,25 +281,20 @@ def mine_frequent(
     if not isinstance(workers, int) or workers < 1:
         raise ConfigError("workers must be a positive integer")
     threshold = min_count(config.min_support, db.total)
-    level_1 = tuple(
-        Itemset((item_id,), count)
-        for item_id, count in enumerate(db.item_counts)
-        if count >= threshold
-    )
-    levels: list[tuple[Itemset, ...]] = [(), level_1]
-    if not level_1:
-        return FrequentSets((levels[0],), db.total)
-    k = 1
-    while config.max_len is None or k < config.max_len:
-        candidates = candidate_gen(levels[k])
-        if not candidates:
+    counts = np.array(db.item_counts)
+    level = np.flatnonzero(counts >= threshold)[:, None]
+    counts = counts[level[:, 0]]
+    levels: list[tuple[Itemset, ...]] = [()]
+    while len(level):
+        levels.append(tuple(map(Itemset, map(tuple, level.tolist()), counts.tolist())))
+        if level.shape[1] == config.max_len:
+            break
+        candidates = candidate_gen(level)
+        if not len(candidates):
             break
         counted = count_candidates(db, candidates)
-        next_level = tuple(s for s in counted if s.count >= threshold)
-        if not next_level:
-            break
-        levels.append(next_level)
-        k += 1
+        kept = counted.counts >= threshold
+        level, counts = candidates[kept], counted.counts[kept]
     return FrequentSets(tuple(levels), db.total)
 
 

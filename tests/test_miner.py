@@ -3,6 +3,7 @@ from __future__ import annotations
 import random
 from itertools import combinations
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -158,6 +159,100 @@ def test_join_prefix_matches_brute_force(case):
         if all(subset in present for subset in combinations(joined, k))
     ]
     assert list(join_prefix(keys)) == expected
+
+
+# ids that differ in every byte of a uint32, in order, so a level keyed
+# by little-endian or signed bytes would sort and search wrongly
+WIDE_IDS = (0, 255, 256, 65_535, 65_536, 16_777_216, 2**32 - 1)
+
+
+def _matrix(keys, k):
+    return np.array(keys, np.intp).reshape(len(keys), k)
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=join_cases(), wide=st.booleans())
+@example(case=(3, 2, []), wide=False)  # an empty level
+@example(case=(7, 1, [(1,), (4,), (6,)]), wide=True)  # k=1: the empty prefix
+@example(case=(5, 3, [(0, 1, 2), (0, 1, 3), (0, 1, 4)]), wide=True)  # one group
+@example(case=(7, 2, list(combinations(range(7), 2))), wide=True)
+def test_matrix_join_matches_join_prefix_and_brute_force(case, wide):
+    universe, k, keys = case
+    ids = WIDE_IDS[:universe] if wide else range(universe)
+    keys = [tuple(ids[i] for i in key) for key in keys]
+    present = set(keys)
+    expected = [
+        joined
+        for joined in combinations(ids, k + 1)
+        if all(subset in present for subset in combinations(joined, k))
+    ]
+    joined = candidate_gen(_matrix(keys, k))
+    assert joined.dtype == np.intp and joined.shape == (len(expected), k + 1)
+    assert list(map(tuple, joined.tolist())) == list(join_prefix(keys)) == expected
+    assert [c.items for c in candidate_gen([Itemset(key) for key in keys])] == expected
+
+
+def test_matrix_join_rejects_ids_outside_uint32():
+    for keys in [[(-1,), (0,)], [(0,), (2**32,)]]:
+        with pytest.raises(ConfigError, match=r"\[0, 2\*\*32\)"):
+            candidate_gen(_matrix(keys, 1))
+
+
+def test_count_candidates_matrix_input_checks(uniform_ab_db):
+    with pytest.raises(ConfigError, match="empty itemset"):
+        count_candidates(uniform_ab_db, np.empty((3, 0), np.intp))
+    for rows in [[[2]], [[-1]], [[0, 5]]]:
+        with pytest.raises(UnknownItemError):
+            count_candidates(uniform_ab_db, np.array(rows, np.intp))
+    counted = count_candidates(uniform_ab_db, np.array([[0], [1], [0]], np.intp))
+    assert counted[0] == Itemset((0,), 4)
+    assert all(type(i) is int for c in counted for i in (*c.items, c.count))
+    assert counted[1:] == [Itemset((1,), 4), Itemset((0,), 4)]
+    empty = count_candidates(uniform_ab_db, np.empty((0, 2), np.intp))
+    assert not empty and len(empty) == 0 and list(empty) == []
+
+
+def test_count_candidates_matrix_matches_itemset_path():
+    db = _database_of(130, 7, seed=11)
+    keys = list(combinations(range(len(db.catalog)), 3))
+    counted = count_candidates(db, _matrix(keys, 3))
+    assert list(counted) == count_candidates(db, [Itemset(key) for key in keys])
+    assert list(counted) == _exact(db, counted)
+
+
+@pytest.mark.parametrize("max_len", [None, 2])
+def test_mine_frequent_counts_each_level_through_the_module_globals(
+    monkeypatch, max_len
+):
+    # a traced mine swaps wrappers in for these two globals and reads
+    # len(result), its truthiness and result[0].items from each count
+    db = _database_of(64, 6, seed=2)
+    config = MiningConfig(0.2, max_len=max_len)
+    joins, counts = [], []
+    join, count = miner.candidate_gen, miner.count_candidates
+
+    def recording_join(level):
+        joins.append(level)
+        return join(level)
+
+    def recording_count(db, candidates):
+        counts.append(count(db, candidates))
+        return counts[-1]
+
+    monkeypatch.setattr(miner, "candidate_gen", recording_join)
+    monkeypatch.setattr(miner, "count_candidates", recording_count)
+    frequent = mine_frequent(db, config)
+    monkeypatch.undo()
+    assert frequent == brute_force_frequent(db, config)
+    assert frequent.max_size == (max_len or 3)
+    # every join gives candidates here, so each is counted once; without
+    # max_len the level-4 candidates are counted and all fail
+    assert len(joins) == len(counts) == (3 if max_len is None else 1)
+    sizes = [len(candidate_gen(list(level))) for level in frequent.levels[1:]]
+    assert [len(result) for result in counts] == sizes[: len(joins)]
+    for k, result in enumerate(counts, start=2):
+        assert result and len(result[0].items) == k
+        assert type(result[0].count) is int
 
 
 def _database_of(total: int, n_items: int, seed: int):
