@@ -112,23 +112,33 @@ class FrequentSets:
     def max_size(self) -> int:
         return len(self.levels) - 1
 
-    def counts(self) -> dict[tuple[ItemId, ...], int]:
-        """Lookup table from item tuple to count; includes the empty set.
-        Raises FrequentSetError unless every count lies in [0, total]."""
+    def itemsets(self) -> dict[tuple[ItemId, ...], Itemset]:
+        """Lookup table from item tuple to its Itemset, the same objects
+        the levels hold; the empty set maps to Itemset((), total). Raises
+        FrequentSetError naming the itemset unless every count is an int
+        in [0, total]."""
         total = self.total
         if not isinstance(total, int) or total <= 0:
             raise FrequentSetError(f"total must be a positive int, got {total!r}")
-        table: dict[tuple[ItemId, ...], int] = {(): total}
+        table = {(): Itemset((), total)}
         for itemset in self:
-            if itemset.count is None:
-                raise FrequentSetError(f"itemset {itemset.items} has no count")
-            if not 0 <= itemset.count <= total:
+            items, count = itemset
+            if count is None:
+                raise FrequentSetError(f"itemset {items} has no count")
+            if not isinstance(count, int) or isinstance(count, bool):
                 raise FrequentSetError(
-                    f"count {itemset.count} of itemset {itemset.items} is outside "
-                    f"[0, total={total}]"
+                    f"count {count!r} of itemset {items} is not an int"
                 )
-            table[itemset.items] = itemset.count
+            if not 0 <= count <= total:
+                raise FrequentSetError(
+                    f"count {count} of itemset {items} is outside [0, total={total}]"
+                )
+            table[items] = itemset
         return table
+
+    def counts(self) -> dict[tuple[ItemId, ...], int]:
+        """Lookup table from item tuple to count, as itemsets() checks it."""
+        return {items: itemset.count for items, itemset in self.itemsets().items()}
 
 
 def join_prefix(
@@ -142,7 +152,8 @@ def join_prefix(
     two items of prefix + (first, last) gives a key of the group, and
     dropping prefix item m gives a key iff last is a tail of (prefix
     without item m) + (first,); so the allowed last items are the later
-    tails of the group intersected with those tail sets.
+    tails of the group intersected with those tail sets. With k = 1 the
+    prefix is empty and every pair is allowed.
     """
     tails: dict[tuple[ItemId, ...], list[ItemId]] = {}
     for key in keys:
@@ -152,12 +163,14 @@ def join_prefix(
         drops = [prefix[:m] + prefix[m + 1 :] for m in range(len(prefix))]
         for i, first in enumerate(group):
             later = group[i + 1 :]
-            allowed = set(later).intersection(
-                *(tail_sets.get(drop + (first,), ()) for drop in drops)
-            )
-            if allowed:
-                base = prefix + (first,)
-                yield from (base + (last,) for last in later if last in allowed)
+            if drops:
+                allowed = set(later).intersection(
+                    *(tail_sets.get(drop + (first,), ()) for drop in drops)
+                )
+                later = [last for last in later if last in allowed]
+            base = prefix + (first,)
+            for last in later:
+                yield base + (last,)
 
 
 def _as_keys(rows: np.ndarray) -> np.ndarray:

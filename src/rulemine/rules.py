@@ -26,7 +26,6 @@ import os
 import reprlib
 from dataclasses import dataclass
 from functools import partial, reduce
-from itertools import filterfalse
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import (
@@ -37,7 +36,9 @@ from .errors import (
     SchemaError,
     utf8_input,
 )
-from .miner import FrequentSets, Itemset, join_prefix, meets_threshold, valid_threshold
+from .miner import (
+    EPS, FrequentSets, Itemset, join_prefix, meets_threshold, valid_threshold
+)
 from .txdb import ItemCatalog, ItemId, parse_item
 
 
@@ -76,7 +77,13 @@ def compute_metrics(
         raise MetricError("counts must satisfy joint_count <= rhs_count")
     if lhs_count > total or rhs_count > total:
         raise MetricError("counts must satisfy lhs_count, rhs_count <= total")
+    return Metrics(*_metrics(lhs_count, rhs_count, joint_count, total))
 
+
+def _metrics(
+    lhs_count: int, rhs_count: int, joint_count: int, total: int
+) -> tuple[float, float, float, float, float, float]:
+    """The metric block, in Metrics order, of counts already checked."""
     support = joint_count / total
     coverage = lhs_count / total
     confidence = joint_count / lhs_count
@@ -88,7 +95,7 @@ def compute_metrics(
             (total - rhs_count) * lhs_count / ((lhs_count - joint_count) * total)
         )
     leverage = (joint_count * total - lhs_count * rhs_count) / (total * total)
-    return Metrics(support, confidence, coverage, lift, conviction, leverage)
+    return support, confidence, coverage, lift, conviction, leverage
 
 
 class AssociationRule(NamedTuple):
@@ -187,35 +194,42 @@ def generate_rules(
     singletons. All counts come from the frequent sets themselves; a
     missing subset raises FrequentSetError. The sort key ends in the
     items of both sides, so the order does not depend on the search.
+
+    Sides are the mined Itemsets themselves. FrequentSets.itemsets()
+    checks each count once; a split only checks that its lhs count is not
+    below the joint count, which the singleton splits of every itemset
+    make hold for all subsets, so the metric block needs no checks.
     """
-    counts = frequent.counts()
+    itemsets = frequent.itemsets()
     total = frequent.total
     min_confidence = config.min_confidence
+    include_empty_lhs = config.include_empty_lhs
     out: list[AssociationRule] = []
     try:
-        for itemset in frequent:
-            items = itemset.items
-            joint = itemset.count
+        for items, joint in frequent:
+            largest = _largest_lhs_count(joint, min_confidence, total)
             consequents = [(item,) for item in items]
             while consequents:
                 passed = []
-                for rhs in consequents:
-                    lhs = tuple(filterfalse(rhs.__contains__, items))
-                    if not lhs and not config.include_empty_lhs:
-                        continue
-                    lhs_count = counts[lhs]
-                    if not meets_threshold(joint, lhs_count, min_confidence):
-                        continue
-                    passed.append(rhs)
-                    rhs_count = counts[rhs]
-                    out.append(
-                        AssociationRule(
-                            Itemset(lhs, lhs_count),
-                            Itemset(rhs, rhs_count),
-                            joint,
-                            *compute_metrics(lhs_count, rhs_count, joint, total),
+                for consequent in consequents:
+                    lhs = itemsets[tuple([i for i in items if i not in consequent])]
+                    if lhs.count < joint:
+                        raise MetricError(
+                            f"counts must satisfy joint_count <= lhs_count: itemset "
+                            f"{items} ({joint}), subset {lhs.items} ({lhs.count})"
                         )
-                    )
+                    if lhs.count > largest or not (lhs.items or include_empty_lhs):
+                        continue
+                    passed.append(consequent)
+                    rhs = itemsets[consequent]
+                    try:
+                        metrics = _metrics(lhs.count, rhs.count, joint, total)
+                    except ZeroDivisionError:  # a side of count 0, so joint is 0
+                        raise MetricError(
+                            f"counts must satisfy lhs_count, rhs_count >= 1: "
+                            f"itemset {items}"
+                        ) from None
+                    out.append(AssociationRule(lhs, rhs, joint, *metrics))
                 if config.singleton_rhs or len(passed) < 2:
                     break  # a join needs two consequents
                 consequents = list(join_prefix(passed))
@@ -226,6 +240,19 @@ def generate_rules(
         ) from None
     out.sort(key=ORDERINGS[config.ordering])
     return out
+
+
+def _largest_lhs_count(joint: int, min_confidence: float, total: int) -> int:
+    """The largest lhs count, at most total, at which a rule with this
+    joint count meets min_confidence. min_count(min_confidence, L) never
+    falls as L grows, so the counts that pass are exactly those up to it;
+    meets_threshold corrects the float estimate by a step or two."""
+    lhs_count = math.floor(min(total, (joint + EPS) / min_confidence))
+    while not meets_threshold(joint, lhs_count, min_confidence):
+        lhs_count -= 1
+    while lhs_count < total and meets_threshold(joint, lhs_count + 1, min_confidence):
+        lhs_count += 1
+    return lhs_count
 
 
 CSV_COLUMNS = (
@@ -254,10 +281,23 @@ def rule_row(
 ) -> list[str]:
     """One rule as the cells of a rules table row (CSV_COLUMNS, plus
     conviction and leverage when extended)."""
+    lhs, rhs = (render_side(side.items, catalog) for side in (rule.lhs, rule.rhs))
+    return _row(position, rule, lhs, rhs, precision, extended)
+
+
+def _row(
+    position: int,
+    rule: AssociationRule,
+    lhs: str,
+    rhs: str,
+    precision: int,
+    extended: bool,
+) -> list[str]:
+    """rule_row with the two sides already rendered."""
     row = [
         str(position),
-        render_side(rule.lhs.items, catalog),
-        render_side(rule.rhs.items, catalog),
+        lhs,
+        rhs,
         _fmt(rule.support, precision),
         _fmt(rule.confidence, precision),
         _fmt(rule.coverage, precision),
@@ -270,6 +310,22 @@ def rule_row(
     return row
 
 
+def _once_per_side(
+    render: Callable[[Sequence[ItemId]], str],
+) -> Callable[[Sequence[ItemId]], str]:
+    """render, run once per side object: rules from generate_rules share
+    their mined Itemsets. Each entry holds its side, so no id is reused.
+    (Keyed by value, (True,) would reuse the text of (1,) unchecked.)"""
+    rendered: dict[int, tuple[Sequence[ItemId], str]] = {}
+
+    def side(items: Sequence[ItemId]) -> str:
+        if (entry := rendered.get(id(items))) is None:
+            entry = rendered[id(items)] = (items, render(items))
+        return entry[1]
+
+    return side
+
+
 def write_rules_csv(
     rules: Sequence[AssociationRule],
     catalog: ItemCatalog,
@@ -278,12 +334,14 @@ def write_rules_csv(
 ) -> None:
     """Rule table in the reference column layout (CSV_COLUMNS:
     rule,LHS,RHS,support,confidence,coverage,lift,count), one rule per
-    line."""
+    line. Each side is rendered once."""
+    side = _once_per_side(partial(render_side, catalog=catalog))
     with open(path, "w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(CSV_COLUMNS)
         for position, rule in enumerate(rules, start=1):
-            writer.writerow(rule_row(position, rule, catalog, precision, False))
+            lhs, rhs = side(rule.lhs.items), side(rule.rhs.items)
+            writer.writerow(_row(position, rule, lhs, rhs, precision, False))
 
 
 @dataclass(frozen=True)
@@ -298,11 +356,13 @@ class RuleSetDocument:
     rule_config: dict
 
 
-def _json_ids(items: Sequence[ItemId]) -> str:
-    """An id list as json.dumps(indent=2) renders it inside a rule."""
+def _json_ids(items: Sequence[ItemId], catalog: ItemCatalog) -> str:
+    """An id list as json.dumps(indent=2) renders it inside a rule; each
+    id must be one of the catalog's."""
     if not items:
         return "[]"
-    return "[\n        " + ",\n        ".join(map(str, items)) + "\n      ]"
+    ids = map(str, map(catalog.check, items))
+    return "[\n        " + ",\n        ".join(ids) + "\n      ]"
 
 
 def write_rules_json(
@@ -323,8 +383,10 @@ def write_rules_json(
     from one template (ids and counts as ints, metrics as float repr,
     infinite conviction as "inf"), because json's indenting encoder is
     its pure-Python one. A NaN metric, or an infinite one other than
-    conviction, raises ValueError as json would.
+    conviction, raises ValueError as json would. Each side's id list is
+    rendered once.
     """
+    ids = _once_per_side(partial(_json_ids, catalog=catalog))
     header = json.dumps(
         {
             "total": total,
@@ -357,8 +419,8 @@ def write_rules_json(
             )
             handle.write(
                 f"""{separator}    {{
-      "lhs": {_json_ids(rule.lhs.items)},
-      "rhs": {_json_ids(rule.rhs.items)},
+      "lhs": {ids(rule.lhs.items)},
+      "rhs": {ids(rule.rhs.items)},
       "lhs_count": {rule.lhs.count},
       "rhs_count": {rule.rhs.count},
       "count": {rule.count},

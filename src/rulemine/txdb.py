@@ -133,14 +133,21 @@ class ItemCatalog:
     def __iter__(self) -> Iterator[tuple[str, int]]:
         return iter(self.entries)
 
+    def check(self, item_id: ItemId) -> ItemId:
+        """item_id itself; UnknownItemError unless it is an int id of this
+        catalog (not a bool, and not negative)."""
+        if type(item_id) is not int or not 0 <= item_id < len(self.entries):
+            raise UnknownItemError(f"unknown item id {item_id!r}")
+        return item_id
+
     def column(self, item_id: ItemId) -> str:
-        return self._entry(item_id)[0]
+        return self.entries[self.check(item_id)][0]
 
     def value(self, item_id: ItemId) -> int:
-        return self._entry(item_id)[1]
+        return self.entries[self.check(item_id)][1]
 
     def render(self, item_id: ItemId) -> str:
-        column, value = self._entry(item_id)
+        column, value = self.entries[self.check(item_id)]
         return f"{column}={value}"
 
     def id_of(self, column: str, value: int) -> ItemId:
@@ -163,11 +170,6 @@ class ItemCatalog:
         for column, _ in self.entries:
             seen.setdefault(column)
         return tuple(seen)
-
-    def _entry(self, item_id: ItemId) -> tuple[str, int]:
-        if type(item_id) is not int or not 0 <= item_id < len(self.entries):
-            raise UnknownItemError(f"unknown item id {item_id!r}")
-        return self.entries[item_id]
 
 
 @dataclass(frozen=True, eq=False)

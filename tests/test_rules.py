@@ -21,6 +21,7 @@ from rulemine import (
     MiningConfig,
     PredictionError,
     RuleConfig,
+    UnknownItemError,
     build_database,
     compute_metrics,
     generate_rules,
@@ -29,11 +30,14 @@ from rulemine import (
     read_rules_json,
     render_rule,
     render_side,
+    write_itemsets,
     write_rules_csv,
     write_rules_json,
 )
 from rulemine import cli
-from rulemine.rules import CSV_COLUMNS, CSV_COLUMNS_EXTENDED, rule_row
+from rulemine.miner import meets_threshold
+from rulemine.oracle import brute_force_rules
+from rulemine.rules import CSV_COLUMNS, CSV_COLUMNS_EXTENDED, _largest_lhs_count, rule_row
 
 
 def test_reference_metric_block():
@@ -214,6 +218,118 @@ def test_rules_reject_count_out_of_range():
     frequent = FrequentSets(((), (Itemset((0,), 9),)), 4)
     with pytest.raises(FrequentSetError, match="outside"):
         generate_rules(frequent, RuleConfig(0.5))
+
+
+def _pair_sets(count_a, count_b, joint, total=4):
+    """Frequent sets {a}, {b}, {a,b} with the given counts."""
+    levels = ((), (Itemset((0,), count_a), Itemset((1,), count_b)), (Itemset((0, 1), joint),))
+    return FrequentSets(levels, total)
+
+
+@pytest.mark.parametrize(
+    "frequent, error, match",
+    [
+        # the joint count exceeds the lhs count of {b} => {a} ...
+        (_pair_sets(4, 3, 4), MetricError, r"joint_count <= lhs_count: itemset \(0, 1\)"),
+        # ... or its rhs count, which is the lhs count of {a} => {b}
+        (_pair_sets(3, 4, 4), MetricError, r"joint_count <= lhs_count: itemset \(0, 1\)"),
+        # {a} => {b} with lhs count 0 clears any confidence
+        (_pair_sets(0, 2, 0), MetricError, r"lhs_count, rhs_count >= 1: itemset \(0, 1\)"),
+        (_pair_sets(2, 2.0, 2), FrequentSetError, r"count 2\.0 of itemset \(1,\) is not an int"),
+        (_pair_sets(True, 2, 1), FrequentSetError, r"count True of itemset \(0,\) is not an int"),
+    ],
+)
+def test_rules_reject_impossible_counts(frequent, error, match):
+    with pytest.raises(error, match=match):
+        generate_rules(frequent, RuleConfig(0.5))
+
+
+def test_rules_reject_a_consequent_of_count_0():
+    # only a confidence below the epsilon keeps a rule of joint count 0
+    with pytest.raises(MetricError, match="rhs_count >= 1"):
+        generate_rules(_pair_sets(2, 0, 0), RuleConfig(1e-10))
+
+
+def test_rule_sides_are_the_mined_itemsets(cicy5_db):
+    frequent = mine_frequent(cicy5_db, MiningConfig(0.10))
+    mined = {itemset.items: itemset for itemset in frequent}
+    rules = generate_rules(frequent, RuleConfig(0.5, include_empty_lhs=False))
+    assert rules
+    for rule in rules:
+        assert rule.lhs is mined[rule.lhs.items]
+        assert rule.rhs is mined[rule.rhs.items]
+
+
+@pytest.mark.parametrize("min_confidence", [0.1, 0.3, 2 / 3, 0.76, 0.9, 1.0, 1e-10, 1e-12])
+def test_largest_lhs_count_is_where_meets_threshold_stops(min_confidence):
+    total = 60
+    for joint in range(total + 1):
+        largest = _largest_lhs_count(joint, min_confidence, total)
+        assert [lhs_count <= largest for lhs_count in range(total + 1)] == [
+            meets_threshold(joint, lhs_count, min_confidence)
+            for lhs_count in range(total + 1)
+        ]
+
+
+@pytest.mark.parametrize("lhs_count, kept", [(29, True), (30, True), (31, False)])
+def test_confidence_bound_on_the_epsilon_boundary(lhs_count, kept):
+    # {a=1} => {b=1} has joint count 3; 0.1 * 30 is 3.0000000000000004
+    joint, total = 3, 40
+    rows = [[("a", 1), ("b", 1)]] * joint + [[("a", 1)]] * (lhs_count - joint)
+    rows += [[("c", 1)]] * (total - len(rows))
+    db = build_database(enumerate(rows))
+    mining, config = MiningConfig(0.05), RuleConfig(0.1)
+    rules = generate_rules(mine_frequent(db, mining), config)
+    rendered = [render_rule(rule, db.catalog) for rule in rules]
+    assert ("{a=1} => {b=1}" in rendered) is kept is meets_threshold(joint, lhs_count, 0.1)
+    assert rules == brute_force_rules(db, mining, config)
+
+
+def _rule(lhs, rhs):
+    metrics = compute_metrics(3, 3, 3, 4)
+    return AssociationRule(Itemset(lhs, 3), Itemset(rhs, 3), 3, *metrics)
+
+
+_WRITERS = {
+    "csv": lambda rules, catalog, path: write_rules_csv(rules, catalog, path),
+    "json": lambda rules, catalog, path: write_rules_json(rules, catalog, 4, path),
+    "rule_row": lambda rules, catalog, path: [
+        rule_row(position, rule, catalog, 4, True) for position, rule in enumerate(rules)
+    ],
+}
+
+
+@pytest.mark.parametrize("writer", sorted(_WRITERS))
+@pytest.mark.parametrize("bad", [2, -1, True, 1.0, "0"])
+def test_writers_reject_an_id_outside_the_catalog(tmp_path, writer, bad):
+    # the bad side repeats, and the writer is called twice: no rendered
+    # side is reused without its check
+    catalog = ItemCatalog((("a", 1), ("b", 1)))
+    rules = [_rule((0,), (1,)), _rule((bad,), (1,)), _rule((bad,), (1,))]
+    for _ in range(2):
+        with pytest.raises(UnknownItemError, match="unknown item id"):
+            _WRITERS[writer](rules, catalog, tmp_path / "rules")
+        with pytest.raises(UnknownItemError, match="unknown item id"):
+            _WRITERS[writer](rules[:1] + [_rule((0,), (bad,))], catalog, tmp_path / "rules")
+
+
+@pytest.mark.parametrize("bad", [2, -1, True])
+def test_write_itemsets_rejects_an_id_outside_the_catalog(tmp_path, bad):
+    catalog = ItemCatalog((("a", 1), ("b", 1)))
+    frequent = FrequentSets(((), (Itemset((0,), 3), Itemset((bad,), 3))), 4)
+    with pytest.raises(UnknownItemError, match="unknown item id"):
+        write_itemsets(frequent, catalog, tmp_path / "itemsets.csv")
+
+
+@pytest.mark.parametrize("writer", ["csv", "json"])
+def test_writers_take_list_sides(tmp_path, writer):
+    catalog = ItemCatalog((("a", 1), ("b", 1), ("c", 1)))
+    a, bc = [0], [1, 2]  # each list is the side of two rules
+    lists = [_rule(a, bc), _rule([], [1]), _rule(a, bc)]
+    tuples = [_rule((0,), (1, 2)), _rule((), (1,)), _rule((0,), (1, 2))]
+    _WRITERS[writer](lists, catalog, tmp_path / "lists")
+    _WRITERS[writer](tuples, catalog, tmp_path / "tuples")
+    assert (tmp_path / "lists").read_bytes() == (tmp_path / "tuples").read_bytes()
 
 
 def test_write_rules_csv_exact_bytes(tmp_path, uniform_ab_db):
