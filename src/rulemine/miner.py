@@ -14,13 +14,20 @@ records are built only for the rows that clear the threshold. Levels
 stay in lexicographic item-id order throughout, so output order is
 deterministic.
 
-The threshold formula lives in exactly one place, min_count, which
+The rounding lives in exactly one place, _ceil_share, which min_count,
 meets_threshold, the rule generator and the brute-force oracle all go
-through: an itemset is frequent iff count >= ceil(min_support * total -
-EPS). The subtraction
-keeps exactly-representable thresholds exact when the product picks up
-float noise (0.1 * 12433 = 1243.3000000000002 must still mean 1244, not
-1245, and 1.0 * total must mean total).
+through: an itemset is frequent iff count >= max(1, ceil(min_support *
+total - EPS)). The subtraction keeps exactly-representable thresholds
+exact when the product picks up float noise (0.1 * 12433 =
+1243.3000000000002 must still mean 1244, not 1245, and 1.0 * total must
+mean total); the floor of 1 keeps an itemset no row holds out of the
+levels however small min_support is.
+
+With workers > 1, candidate_gen and count_candidates split their blocks
+(of level rows, and of candidates) into contiguous runs, one thread
+each and at most one per usable CPU: numpy's gathers, ANDs, searchsorted
+and np.bitwise_count release the GIL. Each block writes only its own
+rows, so the output does not depend on workers.
 """
 
 from __future__ import annotations
@@ -28,7 +35,8 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple, Sequence
+from threading import Thread
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -43,14 +51,19 @@ from .txdb import ItemCatalog, ItemId, TransactionDatabase
 EPS = 1e-9
 
 
+def _ceil_share(share: float, base: int) -> int:
+    """Smallest count whose ratio to base reaches share, up to EPS."""
+    return math.ceil(share * base - EPS)
+
+
 def min_count(min_support: float, total: int) -> int:
-    """Smallest transaction count that clears min_support."""
-    return math.ceil(min_support * total - EPS)
+    """Smallest transaction count that clears min_support; at least 1."""
+    return max(1, _ceil_share(min_support, total))
 
 
 def meets_threshold(count: int, base: int, threshold: float) -> bool:
     """True iff count/base >= threshold, up to the shared epsilon."""
-    return count >= min_count(threshold, base)
+    return count >= _ceil_share(threshold, base)
 
 
 def valid_threshold(value: object) -> bool:
@@ -180,8 +193,52 @@ def _as_keys(rows: np.ndarray) -> np.ndarray:
     return rows.view(f"V{rows.itemsize * rows.shape[1]}").ravel()
 
 
+# Levels are joined, and candidates counted, in blocks of about this many
+# bytes of joined rows or of bitmap words, which bounds the temporaries
+# whatever the number of rows.
+BLOCK_BYTES = 1 << 19
+
+
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _run_blocks(
+    bounds: Sequence[int], workers: int, body: Callable[[int, int], object]
+) -> list:
+    """[body(start, stop) for each pair of consecutive bounds], in order.
+
+    The blocks are split into min(workers, usable CPUs, blocks) contiguous
+    runs (at least one). The calling thread does the first run and one
+    thread is started for each other run; an exception in any run is
+    raised here once all have ended."""
+    blocks = list(zip(bounds[:-1], bounds[1:]))
+    parts = max(1, min(workers, len(blocks), _usable_cpus()))
+    cuts = [len(blocks) * part // parts for part in range(parts + 1)]
+    runs: list = [None] * parts
+
+    def run(part: int) -> None:
+        try:
+            runs[part] = [body(*block) for block in blocks[cuts[part] : cuts[part + 1]]]
+        except BaseException as error:
+            runs[part] = error
+
+    threads = [Thread(target=run, args=(part,)) for part in range(1, parts)]
+    for thread in threads:
+        thread.start()
+    run(0)
+    for thread in threads:
+        thread.join()
+    for results in runs:
+        if isinstance(results, BaseException):
+            raise results
+    return [result for results in runs for result in results]
+
+
 def candidate_gen(
-    level: np.ndarray | Sequence[Itemset],
+    level: np.ndarray | Sequence[Itemset], workers: int = 1
 ) -> np.ndarray | list[Itemset]:
     """Join frequent k-itemsets sharing a (k-1)-prefix, then prune.
 
@@ -191,8 +248,11 @@ def candidate_gen(
     a group (at k=1 the empty prefix is one group), and each row is
     paired with every later row of its group. The k-subsets that drop
     one of the last two ids are the joined rows; each other one is
-    looked up among the level's rows. A sorted sequence of k-Itemsets
-    gives the same candidates as Itemsets with counts unset.
+    looked up among the level's rows. The level is joined and pruned in
+    blocks of rows that give about BLOCK_BYTES of joined rows each, on
+    up to workers threads, and the kept rows of the blocks are stacked
+    in order. A sorted sequence of k-Itemsets gives the same candidates
+    as Itemsets with counts unset.
     """
     if not isinstance(level, np.ndarray):
         if not level:
@@ -200,7 +260,7 @@ def candidate_gen(
         keys = [s.items for s in level]
         if any(len(key) != len(keys[0]) for key in keys):
             raise ConfigError("candidate_gen requires itemsets of uniform size")
-        joined = candidate_gen(np.array(keys, np.intp))
+        joined = candidate_gen(np.array(keys, np.intp), workers)
         return list(map(Itemset, map(tuple, joined.tolist())))
     n, k = level.shape
     if n and (level.min() < 0 or level.max() > 0xFFFFFFFF):
@@ -210,22 +270,28 @@ def candidate_gen(
     starts = np.flatnonzero(first)
     sizes = np.diff(starts, append=n)
     later = np.repeat(starts + sizes, sizes) - np.arange(1, n + 1)
-    left = np.repeat(np.arange(n), later)
-    offset = np.arange(len(left)) - np.repeat(np.cumsum(later) - later, later)
-    joined = np.empty((len(left), k + 1), np.intp)
-    joined[:, :k] = level[left]
-    joined[:, k] = level[left + 1 + offset, k - 1]
     keys = _as_keys(level)
-    for m in range(k - 1):
-        subsets = _as_keys(np.delete(joined, m, axis=1))
-        found = np.minimum(np.searchsorted(keys, subsets), n - 1)
-        joined = joined[keys[found] == subsets]
-    return joined
 
+    def join(start: int, stop: int) -> np.ndarray:
+        pairs = later[start:stop]
+        left = np.repeat(np.arange(start, stop), pairs)
+        offset = np.arange(len(left)) - np.repeat(np.cumsum(pairs) - pairs, pairs)
+        joined = np.empty((len(left), k + 1), np.intp)
+        joined[:, :k] = level[left]
+        joined[:, k] = level[left + 1 + offset, k - 1]
+        for m in range(k - 1):
+            subsets = _as_keys(np.delete(joined, m, axis=1))
+            found = np.minimum(np.searchsorted(keys, subsets), n - 1)
+            joined = joined[keys[found] == subsets]
+        return joined
 
-# Candidates are counted in blocks of about this many bytes of bitmap
-# words, which bounds the temporaries whatever the number of rows.
-BLOCK_BYTES = 1 << 19
+    # the last row of a group has no partner, so every cut lies below n
+    before = np.cumsum(later) - later
+    per_block = max(1, BLOCK_BYTES // (np.dtype(np.intp).itemsize * (k + 1)))
+    targets = np.arange(per_block, later.sum(), per_block)
+    cuts = np.unique(np.searchsorted(before, targets)).tolist()
+    blocks = _run_blocks([0, *cuts, n], workers, join)
+    return blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
 
 
 @dataclass(frozen=True, eq=False)
@@ -246,17 +312,20 @@ class CountedLevel(Sequence[Itemset]):
 
 
 def count_candidates(
-    db: TransactionDatabase, candidates: np.ndarray | Sequence[Itemset]
+    db: TransactionDatabase,
+    candidates: np.ndarray | Sequence[Itemset],
+    workers: int = 1,
 ) -> CountedLevel | list[Itemset]:
     """Count each candidate exactly, preserving order.
 
     An (n, k) intp matrix of item ids gives a CountedLevel. The db.words
     rows of a candidate's k items are ANDed in one chain, k-1 ANDs, and
     the bits counted with np.bitwise_count, a block of candidates at a
-    time. A sequence of Itemsets gives a list of Itemsets with their
-    counts; its keys become one matrix, shorter keys left-padded with
-    their own first item (x & x is x), so keys of any mix of sizes line
-    up.
+    time; the blocks run on up to workers threads, each writing its own
+    slice of the counts. A sequence of Itemsets gives a list of Itemsets
+    with their counts; its keys become one matrix, shorter keys
+    left-padded with their own first item (x & x is x), so keys of any
+    mix of sizes line up.
     """
     if not isinstance(candidates, np.ndarray):
         keys = [c.items for c in candidates]
@@ -265,7 +334,8 @@ def count_candidates(
         width = max(map(len, keys), default=1)
         padded = [key[:1] * (width - len(key)) + key for key in keys]
         table = np.array(padded, np.intp).reshape(len(keys), width)
-        return list(map(Itemset, keys, count_candidates(db, table).counts.tolist()))
+        counted = count_candidates(db, table, workers)
+        return list(map(Itemset, keys, counted.counts.tolist()))
     words = db.words
     if candidates.shape[1] == 0:
         raise ConfigError("cannot count the empty itemset as a candidate")
@@ -274,12 +344,16 @@ def count_candidates(
     count_type = np.min_scalar_type(db.total)  # a count never exceeds total
     per_block = max(1, BLOCK_BYTES // (words.itemsize * words.shape[1]))
     counts = np.empty(len(candidates), count_type)
-    for start in range(0, len(candidates), per_block):
-        block = candidates[start : start + per_block]
+
+    def count(start: int, stop: int) -> None:
+        block = candidates[start:stop]
         hits = words[block[:, 0]]
         for column in range(1, block.shape[1]):
             hits &= words[block[:, column]]
-        counts[start : start + per_block] = np.bitwise_count(hits).sum(1, count_type)
+        counts[start:stop] = np.bitwise_count(hits).sum(1, count_type)
+
+    n = len(candidates)
+    _run_blocks([*range(0, n, per_block), n], workers, count)
     return CountedLevel(candidates, counts)
 
 
@@ -288,10 +362,13 @@ def mine_frequent(
 ) -> FrequentSets:
     """Run the level-wise mining loop; levels end at the last non-empty one.
 
-    workers must be a positive integer and is otherwise ignored."""
+    workers, a positive integer, caps the threads that join and count
+    each level; the result does not depend on it. Each level's
+    candidate_gen and count_candidates are called once, from this
+    thread, through the module globals."""
     if db.total <= 0:
         raise EmptyDatabaseError("cannot mine an empty database")
-    if not isinstance(workers, int) or workers < 1:
+    if type(workers) is not int or workers < 1:
         raise ConfigError("workers must be a positive integer")
     threshold = min_count(config.min_support, db.total)
     counts = np.array(db.item_counts)
@@ -302,10 +379,10 @@ def mine_frequent(
         levels.append(tuple(map(Itemset, map(tuple, level.tolist()), counts.tolist())))
         if level.shape[1] == config.max_len:
             break
-        candidates = candidate_gen(level)
+        candidates = candidate_gen(level, workers=workers)
         if not len(candidates):
             break
-        counted = count_candidates(db, candidates)
+        counted = count_candidates(db, candidates, workers=workers)
         kept = counted.counts >= threshold
         level, counts = candidates[kept], counted.counts[kept]
     return FrequentSets(tuple(levels), db.total)
@@ -315,9 +392,13 @@ def write_itemsets(
     frequent: FrequentSets, catalog: ItemCatalog, path: str | os.PathLike
 ) -> None:
     """One line per frequent itemset: rendered items (space separated),
-    count, support at full precision. Level order, lexicographic within."""
+    count, support at full precision. Level order, lexicographic within.
+    Each catalog entry is rendered once; every id is checked against the
+    catalog."""
+    names = [catalog.render(item_id) for item_id in range(len(catalog))]
+    check, total = catalog.check, frequent.total
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        for itemset in frequent:
-            rendered = " ".join(catalog.render(i) for i in itemset.items)
-            support = itemset.count / frequent.total  # type: ignore[operator]
-            handle.write(f"{rendered},{itemset.count},{support!r}\n")
+        for items, count in frequent:
+            rendered = " ".join([names[check(i)] for i in items])
+            support = count / total  # type: ignore[operator]
+            handle.write(f"{rendered},{count},{support!r}\n")

@@ -244,9 +244,10 @@ def generate_rules(
 
 def _largest_lhs_count(joint: int, min_confidence: float, total: int) -> int:
     """The largest lhs count, at most total, at which a rule with this
-    joint count meets min_confidence. min_count(min_confidence, L) never
-    falls as L grows, so the counts that pass are exactly those up to it;
-    meets_threshold corrects the float estimate by a step or two."""
+    joint count meets min_confidence. The joint count meets_threshold
+    asks of base L never falls as L grows, so the counts that pass are
+    exactly those up to it; meets_threshold corrects the float estimate
+    by a step or two."""
     lhs_count = math.floor(min(total, (joint + EPS) / min_confidence))
     while not meets_threshold(joint, lhs_count, min_confidence):
         lhs_count -= 1

@@ -492,6 +492,22 @@ def test_workers_flag_matches_serial(uniform_csv, tmp_path):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 
+def test_tiny_min_support_mines_no_itemset_of_count_0(tmp_path, capsys):
+    # min_support * total is below the epsilon: the threshold is 1, not 0
+    table = tmp_path / "table.csv"
+    table.write_text("a,b\n0,0\n1,1\n2,0\n", encoding="utf-8")
+    out = tmp_path / "out"
+    code = cli.main(
+        ["mine", "--input", str(table), "--out-dir", str(out), "--format", "json",
+         "--min-support", "1e-12", "--min-confidence", "0.5"]
+    )  # fmt: skip
+    assert code == 0
+    assert capsys.readouterr().out == f"3 transactions, 8 frequent itemsets, 7 rules -> {out}\n"
+    lines = (out / "itemsets.csv").read_text(encoding="utf-8").splitlines()
+    assert len(lines) == 8
+    assert all(int(line.split(",")[1]) >= 1 for line in lines)
+
+
 def test_separator_flag(tmp_path):
     table = tmp_path / "semi.csv"
     table.write_text("a;b\n1;1\n1;1\n", encoding="utf-8")

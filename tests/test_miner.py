@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import os
 import random
+import threading
 from itertools import combinations
 
 import numpy as np
@@ -12,11 +14,13 @@ from rulemine import (
     ConfigError,
     Itemset,
     MiningConfig,
+    RuleConfig,
     UnknownItemError,
     brute_force_frequent,
     build_database,
     candidate_gen,
     count_candidates,
+    generate_rules,
     meets_threshold,
     min_count,
     mine_frequent,
@@ -24,6 +28,28 @@ from rulemine import (
 )
 from rulemine import miner
 from rulemine.miner import join_prefix
+
+
+def test_min_count_is_at_least_one():
+    # a product at or below the epsilon used to give a threshold of 0
+    assert min_count(1e-12, 3) == 1
+    assert min_count(1e-9, 1) == 1
+    # the ratio test keeps no floor: a joint count of 0 must still end the
+    # rule generator's search for the largest lhs count
+    assert meets_threshold(0, 3, 1e-12)
+
+
+def test_tiny_support_keeps_no_itemset_of_count_0():
+    rows = [(0, [("a", 0), ("b", 0)]), (1, [("a", 1), ("b", 1)]),
+            (2, [("a", 2), ("b", 0)])]  # fmt: skip
+    db = build_database(rows)
+    config = MiningConfig(1e-12)
+    frequent = mine_frequent(db, config)
+    assert [s.items for s in frequent.levels[2]] == [(0, 3), (1, 4), (2, 3)]
+    assert all(s.count >= 1 for s in frequent)
+    assert len(frequent) == 8
+    assert frequent == brute_force_frequent(db, config)
+    assert len(generate_rules(frequent, RuleConfig(0.5))) == 7
 
 
 def test_min_count_epsilon_rule():
@@ -231,12 +257,12 @@ def test_mine_frequent_counts_each_level_through_the_module_globals(
     joins, counts = [], []
     join, count = miner.candidate_gen, miner.count_candidates
 
-    def recording_join(level):
+    def recording_join(level, workers):
         joins.append(level)
-        return join(level)
+        return join(level, workers)
 
-    def recording_count(db, candidates):
-        counts.append(count(db, candidates))
+    def recording_count(db, candidates, workers):
+        counts.append(count(db, candidates, workers))
         return counts[-1]
 
     monkeypatch.setattr(miner, "candidate_gen", recording_join)
@@ -298,6 +324,180 @@ def test_count_candidates_across_blocks(monkeypatch):
     assert count_candidates(db, candidates) == _exact(db, candidates)
 
 
+class _SerialThread:
+    """Stands in for threading.Thread in the miner: records each thread
+    asked for and runs its target on this thread when joined."""
+
+    started: list[_SerialThread] = []
+
+    def __init__(self, target, args):
+        self.target, self.args = target, args
+
+    def start(self):
+        self.started.append(self)
+
+    def join(self):
+        self.target(*self.args)
+
+
+@pytest.fixture
+def serial_threads(monkeypatch):
+    monkeypatch.setattr(_SerialThread, "started", [])
+    monkeypatch.setattr(miner, "Thread", _SerialThread)
+    return _SerialThread.started
+
+
+@pytest.fixture
+def no_threads(monkeypatch):
+    def refuse(target, args):
+        raise AssertionError("a thread was started")
+
+    monkeypatch.setattr(miner, "Thread", refuse)
+
+
+@pytest.fixture
+def eight_cpus(monkeypatch):
+    # so that workers 3 and 7 start that many threads on any machine
+    monkeypatch.setattr(miner, "_usable_cpus", lambda: 8)
+
+
+@pytest.mark.parametrize(
+    "workers, blocks, parts",
+    [(2, 11, 2), (3, 11, 3), (7, 11, 7), (7, 7, 7), (7, 2, 2), (7, 1, 1), (7, 0, 1),
+     (1, 11, 1)],  # fmt: skip
+)
+def test_blocks_run_in_contiguous_even_runs(eight_cpus, workers, blocks, parts):
+    bounds = list(range(0, 3 * blocks + 1, 3))
+    results = miner._run_blocks(
+        bounds, workers, lambda start, stop: (start, stop, threading.current_thread())
+    )
+    blocks_run = [(start, stop) for start, stop, _ in results]
+    assert blocks_run == list(zip(bounds, bounds[1:]))
+    runs: list[list] = []  # [thread, blocks] in order
+    for _, _, thread in results:
+        if not runs or runs[-1][0] is not thread:
+            runs.append([thread, 0])
+        runs[-1][1] += 1
+    assert len({id(thread) for thread, _ in runs}) == len(runs) == min(parts, blocks)
+    if runs:
+        assert runs[0][0] is threading.current_thread()  # the first run is ours
+    assert {size for _, size in runs} <= {blocks // parts, -(-blocks // parts)}
+
+
+def test_an_error_in_a_run_is_raised_after_every_run_ends(eight_cpus):
+    done = []
+
+    def body(start, stop):
+        if start == 4:
+            raise ValueError("block 4")
+        done.append(start)
+
+    # runs of blocks 0-2, 3-5 and 6-8: the second stops at block 4
+    with pytest.raises(ValueError, match="block 4"):
+        miner._run_blocks(list(range(10)), 3, body)
+    assert sorted(done) == [0, 1, 2, 3, 6, 7, 8]
+
+
+def _row_bytes(db):
+    return db.words.itemsize * db.words.shape[1]
+
+
+# candidate counts: empty, one, fewer blocks (of 3) than workers, blocks
+# that split evenly and unevenly into runs
+COUNT_SIZES = [0, 1, 5, 21, 31, 56]
+
+
+@pytest.mark.parametrize("workers", [2, 3, 7])
+@pytest.mark.parametrize("n_keys", COUNT_SIZES)
+def test_threaded_count_matches_serial(monkeypatch, eight_cpus, workers, n_keys):
+    db = _database_of(200, 8, seed=3)
+    keys = list(combinations(range(len(db.catalog)), 3))[:n_keys]
+    table = _matrix(keys, 3)
+    serial = count_candidates(db, table)
+    monkeypatch.setattr(miner, "BLOCK_BYTES", 3 * _row_bytes(db))  # 3 per block
+    threaded = count_candidates(db, table, workers)
+    assert threaded.rows is table
+    assert threaded.counts.dtype == serial.counts.dtype
+    assert threaded.counts.tolist() == serial.counts.tolist()
+    assert list(threaded) == _exact(db, threaded)
+    itemsets = [Itemset(key) for key in keys]
+    assert count_candidates(db, itemsets, workers) == list(serial)
+
+
+def _random_level(n_items, k, seed):
+    """A sorted random two-thirds of the k-subsets of n_items ids."""
+    rng = random.Random(seed)
+    keys = [key for key in combinations(range(n_items), k) if rng.random() < 0.67]
+    return _matrix(keys, k)
+
+
+@pytest.mark.parametrize("workers", [2, 3, 7])
+@pytest.mark.parametrize(
+    "level",
+    [_random_level(12, 1, 0), _random_level(12, 2, 1), _random_level(12, 3, 2),
+     _random_level(9, 4, 3), _matrix([], 2), _matrix([(3, 5)], 2),
+     _matrix([(0, 1, 2), (0, 1, 3)], 3)],
+    ids=["k1", "k2", "k3", "k4", "empty", "single", "one-pair"],
+)  # fmt: skip
+def test_threaded_join_matches_serial(monkeypatch, eight_cpus, workers, level):
+    serial = candidate_gen(level)
+    k = level.shape[1]
+    # 4 joined rows a block; at k=1 the first row alone has 11 partners
+    monkeypatch.setattr(miner, "BLOCK_BYTES", 4 * 8 * (k + 1))
+    threaded = candidate_gen(level, workers)
+    assert threaded.dtype == np.intp and threaded.shape == (len(serial), k + 1)
+    assert threaded.tolist() == serial.tolist()
+    assert [tuple(row) for row in serial.tolist()] == list(
+        join_prefix([tuple(row) for row in level.tolist()])
+    )
+    itemsets = [Itemset(tuple(row)) for row in level.tolist()]
+    assert candidate_gen(itemsets, workers) == candidate_gen(itemsets)
+
+
+@pytest.mark.parametrize("workers", [2, 7])
+def test_threaded_mine_matches_serial(monkeypatch, eight_cpus, workers):
+    db = _database_of(150, 9, seed=5)
+    config = MiningConfig(0.15)
+    serial = mine_frequent(db, config)
+    monkeypatch.setattr(miner, "BLOCK_BYTES", 2 * _row_bytes(db))
+    assert mine_frequent(db, config, workers=workers) == serial
+    assert serial == brute_force_frequent(db, config)
+
+
+def test_bad_ids_raise_before_any_thread_starts(monkeypatch, no_threads, eight_cpus):
+    db = _database_of(200, 8, seed=3)
+    monkeypatch.setattr(miner, "BLOCK_BYTES", _row_bytes(db))  # 1 per block
+    table = _matrix([(0, 1), (1, 2), (2, 3), (3, len(db.catalog))], 2)
+    with pytest.raises(UnknownItemError):
+        count_candidates(db, table, 4)
+    with pytest.raises(ConfigError, match=r"\[0, 2\*\*32\)"):
+        candidate_gen(_matrix([(-1, 2), (0, 1), (0, 2), (1, 2)], 2), 4)
+    with pytest.raises(ConfigError, match="empty itemset"):
+        count_candidates(db, np.empty((4, 0), np.intp), 4)
+
+
+@pytest.mark.parametrize("workers", [100_000, 2**62])
+def test_threads_are_capped_by_cpus_and_blocks(monkeypatch, serial_threads, workers):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
+    db = _database_of(200, 8, seed=3)
+    monkeypatch.setattr(miner, "BLOCK_BYTES", 3 * _row_bytes(db))
+    keys = list(combinations(range(len(db.catalog)), 2))
+    expected = [db.support_count(key) for key in keys]
+    started = []
+    assert count_candidates(db, _matrix(keys, 2), workers).counts.tolist() == expected
+    started.append(len(serial_threads))
+    assert count_candidates(db, _matrix(keys[:6], 2), workers)  # 2 blocks
+    started.append(len(serial_threads))
+    level = _random_level(12, 2, 1)
+    assert candidate_gen(level, workers).tolist() == candidate_gen(level).tolist()
+    started.append(len(serial_threads))
+    # the calling thread does one run: 3 CPUs start 2 threads, 2 blocks 1
+    assert started == [2, 3, 5]
+    mined = mine_frequent(db, MiningConfig(0.2), workers=workers)
+    assert mined == brute_force_frequent(db, MiningConfig(0.2))
+    assert len(serial_threads) > 5
+
+
 def test_count_candidates_rejects_unknown_items(uniform_ab_db):
     for items in [(2,), (-1,), (0, 5)]:
         with pytest.raises(UnknownItemError):
@@ -346,9 +546,10 @@ def test_no_frequent_items_leaves_single_empty_level():
     assert len(frequent) == 0
 
 
-def test_workers_validation(uniform_ab_db):
-    with pytest.raises(ConfigError):
-        mine_frequent(uniform_ab_db, MiningConfig(0.5), workers=0)
+@pytest.mark.parametrize("workers", [0, -1, True, False, 2.0, "2"])
+def test_workers_validation(uniform_ab_db, workers):
+    with pytest.raises(ConfigError, match="workers must be a positive integer"):
+        mine_frequent(uniform_ab_db, MiningConfig(0.5), workers=workers)
 
 
 def test_mining_is_deterministic():
