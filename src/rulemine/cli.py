@@ -43,7 +43,7 @@ from .rules import (
     read_rules_json,
     render_rule,
     report_rows_from_csv,
-    rule_row,
+    rule_rows,
     write_rules_csv,
     write_rules_json,
 )
@@ -329,10 +329,8 @@ def cmd_report(args: argparse.Namespace) -> int:
         document = read_rules_json(path)
         extended = not args.base_layout
         header = CSV_COLUMNS_EXTENDED if extended else CSV_COLUMNS
-        rows = [
-            rule_row(position, rule, document.catalog, args.precision, extended)
-            for position, rule in enumerate(document.rules[: args.top], start=1)
-        ]
+        rules = document.rules[: args.top]
+        rows = list(rule_rows(rules, document.catalog, args.precision, extended))
     else:
         header, rows = report_rows_from_csv(path, args.precision)
     rows = rows[: args.top]

@@ -23,15 +23,15 @@ exact when the product picks up float noise (0.1 * 12433 =
 mean total); the floor of 1 keeps an itemset no row holds out of the
 levels however small min_support is.
 
-With workers > 1, candidate_gen and count_candidates split their blocks
-(of level rows, and of candidates) into contiguous runs, one thread
-each and at most one per usable CPU: numpy's gathers, ANDs, searchsorted
-and np.bitwise_count release the GIL. Each block writes only its own
-rows, so the output does not depend on workers.
+With workers > 1, threads (at most one per usable CPU) take the blocks
+of candidate_gen and count_candidates from one shared queue: numpy's
+gathers, ANDs, searchsorted and np.bitwise_count release the GIL. Each
+block writes only its own rows, so the output does not depend on workers.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 from dataclasses import dataclass
@@ -208,33 +208,34 @@ def _usable_cpus() -> int:
 def _run_blocks(
     bounds: Sequence[int], workers: int, body: Callable[[int, int], object]
 ) -> list:
-    """[body(start, stop) for each pair of consecutive bounds], in order.
+    """[body(start, stop) for each pair of consecutive bounds], in order,
+    run by the calling thread and min(workers, usable CPUs, blocks) - 1
+    started threads. Each takes the next block index from one shared
+    itertools.count(), whose next() is one C call under the GIL, so no
+    block is taken twice. A thread stops at its first exception; the
+    first in block order is raised once every thread has ended."""
+    results: list = [None] * (len(bounds) - 1)
+    taken = itertools.count()
 
-    The blocks are split into min(workers, usable CPUs, blocks) contiguous
-    runs (at least one). The calling thread does the first run and one
-    thread is started for each other run; an exception in any run is
-    raised here once all have ended."""
-    blocks = list(zip(bounds[:-1], bounds[1:]))
-    parts = max(1, min(workers, len(blocks), _usable_cpus()))
-    cuts = [len(blocks) * part // parts for part in range(parts + 1)]
-    runs: list = [None] * parts
+    def run() -> None:
+        while (index := next(taken)) < len(results):
+            try:
+                results[index] = body(bounds[index], bounds[index + 1])
+            except BaseException as error:
+                results[index] = error
+                return
 
-    def run(part: int) -> None:
-        try:
-            runs[part] = [body(*block) for block in blocks[cuts[part] : cuts[part + 1]]]
-        except BaseException as error:
-            runs[part] = error
-
-    threads = [Thread(target=run, args=(part,)) for part in range(1, parts)]
+    cap = min(workers, len(results), _usable_cpus())
+    threads = [Thread(target=run) for _ in range(1, cap)]
     for thread in threads:
         thread.start()
-    run(0)
+    run()
     for thread in threads:
         thread.join()
-    for results in runs:
-        if isinstance(results, BaseException):
-            raise results
-    return [result for results in runs for result in results]
+    for result in results:
+        if isinstance(result, BaseException):
+            raise result
+    return results
 
 
 def candidate_gen(
@@ -352,8 +353,7 @@ def count_candidates(
             hits &= words[block[:, column]]
         counts[start:stop] = np.bitwise_count(hits).sum(1, count_type)
 
-    n = len(candidates)
-    _run_blocks([*range(0, n, per_block), n], workers, count)
+    _run_blocks([*range(0, len(counts), per_block), len(counts)], workers, count)
     return CountedLevel(candidates, counts)
 
 

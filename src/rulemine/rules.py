@@ -273,44 +273,6 @@ def _fmt(value: float, precision: int) -> str:
     return f"{value:.{precision}f}"  # math.inf renders as the token "inf"
 
 
-def rule_row(
-    position: int,
-    rule: AssociationRule,
-    catalog: ItemCatalog,
-    precision: int,
-    extended: bool,
-) -> list[str]:
-    """One rule as the cells of a rules table row (CSV_COLUMNS, plus
-    conviction and leverage when extended)."""
-    lhs, rhs = (render_side(side.items, catalog) for side in (rule.lhs, rule.rhs))
-    return _row(position, rule, lhs, rhs, precision, extended)
-
-
-def _row(
-    position: int,
-    rule: AssociationRule,
-    lhs: str,
-    rhs: str,
-    precision: int,
-    extended: bool,
-) -> list[str]:
-    """rule_row with the two sides already rendered."""
-    row = [
-        str(position),
-        lhs,
-        rhs,
-        _fmt(rule.support, precision),
-        _fmt(rule.confidence, precision),
-        _fmt(rule.coverage, precision),
-        _fmt(rule.lift, precision),
-        str(rule.count),
-    ]
-    if extended:
-        row.append(_fmt(rule.conviction, precision))
-        row.append(_fmt(rule.leverage, precision))
-    return row
-
-
 def _once_per_side(
     render: Callable[[Sequence[ItemId]], str],
 ) -> Callable[[Sequence[ItemId]], str]:
@@ -327,6 +289,26 @@ def _once_per_side(
     return side
 
 
+def rule_rows(
+    rules: Iterable[AssociationRule],
+    catalog: ItemCatalog,
+    precision: int,
+    extended: bool,
+) -> Iterator[list[str]]:
+    """Each rule as the cells of a rules table row (CSV_COLUMNS, plus
+    conviction and leverage when extended), numbered from 1. Each side
+    is rendered once."""
+    side = _once_per_side(partial(render_side, catalog=catalog))
+    for position, rule in enumerate(rules, start=1):
+        metrics = rule.support, rule.confidence, rule.coverage, rule.lift
+        row = [str(position), side(rule.lhs.items), side(rule.rhs.items)]
+        row += [_fmt(value, precision) for value in metrics]
+        row.append(str(rule.count))
+        if extended:
+            row += [_fmt(rule.conviction, precision), _fmt(rule.leverage, precision)]
+        yield row
+
+
 def write_rules_csv(
     rules: Sequence[AssociationRule],
     catalog: ItemCatalog,
@@ -336,13 +318,10 @@ def write_rules_csv(
     """Rule table in the reference column layout (CSV_COLUMNS:
     rule,LHS,RHS,support,confidence,coverage,lift,count), one rule per
     line. Each side is rendered once."""
-    side = _once_per_side(partial(render_side, catalog=catalog))
     with open(path, "w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(CSV_COLUMNS)
-        for position, rule in enumerate(rules, start=1):
-            lhs, rhs = side(rule.lhs.items), side(rule.rhs.items)
-            writer.writerow(_row(position, rule, lhs, rhs, precision, False))
+        writer.writerows(rule_rows(rules, catalog, precision, False))
 
 
 @dataclass(frozen=True)

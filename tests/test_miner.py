@@ -2,7 +2,9 @@ from __future__ import annotations
 
 import os
 import random
+import sys
 import threading
+import time
 from itertools import combinations
 
 import numpy as np
@@ -330,7 +332,7 @@ class _SerialThread:
 
     started: list[_SerialThread] = []
 
-    def __init__(self, target, args):
+    def __init__(self, target, args=()):
         self.target, self.args = target, args
 
     def start(self):
@@ -349,7 +351,7 @@ def serial_threads(monkeypatch):
 
 @pytest.fixture
 def no_threads(monkeypatch):
-    def refuse(target, args):
+    def refuse(target, args=()):
         raise AssertionError("a thread was started")
 
     monkeypatch.setattr(miner, "Thread", refuse)
@@ -362,40 +364,71 @@ def eight_cpus(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "workers, blocks, parts",
-    [(2, 11, 2), (3, 11, 3), (7, 11, 7), (7, 7, 7), (7, 2, 2), (7, 1, 1), (7, 0, 1),
-     (1, 11, 1)],  # fmt: skip
+    "workers, blocks, cap",
+    [(2, 11, 2), (3, 11, 3), (7, 11, 7), (7, 7, 7), (7, 2, 2), (7, 1, 1), (7, 0, 0),
+     (1, 11, 1), (100, 30, 8)],  # fmt: skip
 )
-def test_blocks_run_in_contiguous_even_runs(eight_cpus, workers, blocks, parts):
-    bounds = list(range(0, 3 * blocks + 1, 3))
-    results = miner._run_blocks(
-        bounds, workers, lambda start, stop: (start, stop, threading.current_thread())
-    )
-    blocks_run = [(start, stop) for start, stop, _ in results]
-    assert blocks_run == list(zip(bounds, bounds[1:]))
-    runs: list[list] = []  # [thread, blocks] in order
-    for _, _, thread in results:
-        if not runs or runs[-1][0] is not thread:
-            runs.append([thread, 0])
-        runs[-1][1] += 1
-    assert len({id(thread) for thread, _ in runs}) == len(runs) == min(parts, blocks)
-    if runs:
-        assert runs[0][0] is threading.current_thread()  # the first run is ours
-    assert {size for _, size in runs} <= {blocks // parts, -(-blocks // parts)}
-
-
-def test_an_error_in_a_run_is_raised_after_every_run_ends(eight_cpus):
-    done = []
+def test_every_block_runs_once_in_block_order(eight_cpus, workers, blocks, cap):
+    ran = []
 
     def body(start, stop):
-        if start == 4:
-            raise ValueError("block 4")
-        done.append(start)
+        ran.append(start)
+        return start, stop, threading.get_ident()
 
-    # runs of blocks 0-2, 3-5 and 6-8: the second stops at block 4
-    with pytest.raises(ValueError, match="block 4"):
+    bounds = list(range(0, 3 * blocks + 1, 3))
+    results = miner._run_blocks(bounds, workers, body)
+    assert sorted(ran) == bounds[:-1]
+    assert [(start, stop) for start, stop, _ in results] == list(zip(bounds, bounds[1:]))
+    assert len({thread for _, _, thread in results}) <= cap
+
+
+def test_a_free_thread_takes_the_next_block(eight_cpus):
+    # block 0 waits for block 1, which another thread must take meanwhile
+    ready = threading.Event()
+
+    def body(start, stop):
+        if start == 0:
+            assert ready.wait(5), "block 1 did not run while block 0 waited"
+        elif start == 1:
+            ready.set()
+        return start
+
+    assert miner._run_blocks([0, 1, 2, 3, 4], 2, body) == [0, 1, 2, 3]
+
+
+def test_no_block_is_taken_twice_under_fast_switching(eight_cpus):
+    # 7 threads whatever the cores, switching as often as the interpreter
+    # allows: a block handed out twice would run twice
+    ran = []
+
+    def body(start, stop):
+        ran.append(start)
+        return start
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        results = miner._run_blocks(list(range(3001)), 7, body)
+    finally:
+        sys.setswitchinterval(interval)
+    assert sorted(ran) == results == list(range(3000))
+
+
+def test_the_first_error_is_raised_after_every_thread_ends(eight_cpus):
+    started, ended = [], []
+
+    def body(start, stop):
+        started.append(start)
+        if start in (1, 6):
+            raise ValueError(f"block {start}")
+        time.sleep(0.01)
+        ended.append(start)
+
+    before = threading.active_count()
+    with pytest.raises(ValueError, match="block 1"):
         miner._run_blocks(list(range(10)), 3, body)
-    assert sorted(done) == [0, 1, 2, 3, 6, 7, 8]
+    assert threading.active_count() == before
+    assert sorted(ended) == sorted(set(started) - {1, 6})  # no block was cut short
 
 
 def _row_bytes(db):
@@ -496,6 +529,20 @@ def test_threads_are_capped_by_cpus_and_blocks(monkeypatch, serial_threads, work
     mined = mine_frequent(db, MiningConfig(0.2), workers=workers)
     assert mined == brute_force_frequent(db, MiningConfig(0.2))
     assert len(serial_threads) > 5
+
+
+@pytest.mark.parametrize("cpu_count, usable", [(3, 3), (None, 1)])
+def test_cpu_count_caps_threads_without_sched_getaffinity(
+    monkeypatch, serial_threads, cpu_count, usable
+):
+    # platforms without os.sched_getaffinity fall back to os.cpu_count(),
+    # which may not know (None): then the calling thread runs every block
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpu_count)
+    assert miner._usable_cpus() == usable
+    results = miner._run_blocks(list(range(21)), 100, lambda start, stop: start)
+    assert results == list(range(20))
+    assert len(serial_threads) == usable - 1
 
 
 def test_count_candidates_rejects_unknown_items(uniform_ab_db):

@@ -37,7 +37,7 @@ from rulemine import (
 from rulemine import cli
 from rulemine.miner import meets_threshold
 from rulemine.oracle import brute_force_rules
-from rulemine.rules import CSV_COLUMNS, CSV_COLUMNS_EXTENDED, _largest_lhs_count, rule_row
+from rulemine.rules import CSV_COLUMNS, CSV_COLUMNS_EXTENDED, _largest_lhs_count, rule_rows
 
 
 def test_reference_metric_block():
@@ -293,9 +293,7 @@ def _rule(lhs, rhs):
 _WRITERS = {
     "csv": lambda rules, catalog, path: write_rules_csv(rules, catalog, path),
     "json": lambda rules, catalog, path: write_rules_json(rules, catalog, 4, path),
-    "rule_row": lambda rules, catalog, path: [
-        rule_row(position, rule, catalog, 4, True) for position, rule in enumerate(rules)
-    ],
+    "rule_rows": lambda rules, catalog, path: list(rule_rows(rules, catalog, 4, True)),
 }
 
 
@@ -346,7 +344,7 @@ def test_write_rules_csv_exact_bytes(tmp_path, uniform_ab_db):
     )
 
 
-def test_rule_row_extended_renders_inf():
+def test_rule_rows_extended_renders_inf():
     rows = [
         (0, [("a", 1), ("b", 1)]),
         (1, [("a", 1), ("b", 1)]),
@@ -356,10 +354,10 @@ def test_rule_row_extended_renders_inf():
     db = build_database(rows)
     rules = _mined_rules(db, min_confidence=0.8)
     cells = ["0.7500", "1.0000", "0.7500", "1.3333", "3", "inf", "0.1875"]
-    assert [
-        rule_row(position, rule, db.catalog, 4, True)
-        for position, rule in enumerate(rules, start=1)
-    ] == [["1", "{a=1}", "{b=1}", *cells], ["2", "{b=1}", "{a=1}", *cells]]
+    assert list(rule_rows(rules, db.catalog, 4, True)) == [
+        ["1", "{a=1}", "{b=1}", *cells],
+        ["2", "{b=1}", "{a=1}", *cells],
+    ]
 
 
 def test_csv_precision_parameter(tmp_path, uniform_ab_db):
@@ -531,10 +529,7 @@ def test_queries_match_the_full_rule_list(tmp_path_factory, export, data):
     assert code == 0
     header, *rows = (line.split() for line in out.splitlines())
     assert header == list(CSV_COLUMNS_EXTENDED if extended else CSV_COLUMNS)
-    assert rows == [
-        rule_row(position, rule, catalog, precision, extended)
-        for position, rule in enumerate(rules[:top], start=1)
-    ]
+    assert rows == list(rule_rows(rules[:top], catalog, precision, extended))
 
     known = data.draw(st.lists(st.integers(0, len(catalog) - 1), max_size=3))
     target = data.draw(st.sampled_from(catalog.columns))
