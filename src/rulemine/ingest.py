@@ -55,7 +55,6 @@ from .txdb import (
     build_database,
     parse_int,
     parse_item,
-    parse_ints,
 )
 
 DEFAULT_MISSING_MARKERS = frozenset({"", "NA", "?"})
@@ -328,7 +327,8 @@ def _csv_rows(
     stats: dict | None,
 ) -> Iterator[Row]:
     """Yield (tid, [(label, value), ...]) for each row that survives the
-    missing policy, as it is read; fill stats once the file is read."""
+    missing policy, as it is read, each present cell parsed by
+    parse_int; fill stats once the file is read."""
     drop_row = schema.missing_policy == "drop_row"
     markers = schema.missing_markers
     labels = schema.labels
@@ -349,27 +349,20 @@ def _csv_rows(
             if not kept:
                 continue  # every cell missing, under partial_row
             present, cells = zip(*kept)
+        items = []
         try:
-            values = parse_ints(cells)
-        except ValueError:  # raise for the first cell at fault, in schema order
-            values = [
-                _parse_cell(path, lineno, sources[label], cell)
-                for label, cell in zip(present, cells)
-            ]
-        yield rows_kept, list(zip(present, values))
+            for label, cell in zip(present, cells):
+                items.append((label, parse_int(cell)))
+        except ValueError:  # the first cell at fault, in schema order
+            raise IngestError(
+                f"{path}:{lineno}: column {sources[label]!r}: cannot parse "
+                f"{cell!r} as an integer"
+            ) from None
+        yield rows_kept, items
         rows_kept += 1
     if stats is not None:
         dropped = rows_read - rows_kept
         stats.update(rows_read=rows_read, rows_dropped=dropped, rows_kept=rows_kept)
-
-
-def _parse_cell(path: str | os.PathLike, lineno: int, source: str, cell: str) -> int:
-    try:
-        return parse_int(cell)
-    except ValueError:
-        raise IngestError(
-            f"{path}:{lineno}: column {source!r}: cannot parse {cell!r} as an integer"
-        ) from None
 
 
 def export_transactions(

@@ -36,9 +36,7 @@ from .errors import (
     SchemaError,
     utf8_input,
 )
-from .miner import (
-    EPS, FrequentSets, Itemset, join_prefix, meets_threshold, valid_threshold
-)
+from .miner import FrequentSets, Itemset, join_prefix, meets_threshold, valid_threshold
 from .txdb import ItemCatalog, ItemId, parse_item
 
 
@@ -185,15 +183,16 @@ def generate_rules(
 
     For each frequent Z and each split Z = X | Y with Y non-empty (and
     X = {} only when include_empty_lhs), the rule X => Y is kept iff its
-    confidence N(Z)/N(X) clears min_confidence under the shared epsilon
-    rule. Splits are tested by ap-genrules (Agrawal & Srikant, VLDB 1994,
-    section 3): growing Y shrinks X, which can only raise N(X) and lower
-    the confidence, so the singleton consequents are tested first and
-    each (m+1)-consequent is joined, as candidate_gen joins itemsets, only
-    from m-consequents that passed. singleton_rhs stops after the
-    singletons. All counts come from the frequent sets themselves; a
-    missing subset raises FrequentSetError. The sort key ends in the
-    items of both sides, so the order does not depend on the search.
+    confidence N(Z)/N(X) clears min_confidence by meets_threshold, the
+    shared epsilon rule. Splits are tested by ap-genrules (Agrawal &
+    Srikant, VLDB 1994, section 3): growing Y shrinks X, which can only
+    raise N(X) and lower the confidence, so the singleton consequents are
+    tested first and each (m+1)-consequent is joined, as candidate_gen
+    joins itemsets, only from m-consequents that passed. singleton_rhs
+    stops after the singletons. All counts come from the frequent sets
+    themselves; a missing subset raises FrequentSetError. The sort key
+    ends in the items of both sides, so the order does not depend on the
+    search.
 
     Sides are the mined Itemsets themselves. FrequentSets.itemsets()
     checks each count once; a split only checks that its lhs count is not
@@ -207,7 +206,6 @@ def generate_rules(
     out: list[AssociationRule] = []
     try:
         for items, joint in frequent:
-            largest = _largest_lhs_count(joint, min_confidence, total)
             consequents = [(item,) for item in items]
             while consequents:
                 passed = []
@@ -218,7 +216,10 @@ def generate_rules(
                             f"counts must satisfy joint_count <= lhs_count: itemset "
                             f"{items} ({joint}), subset {lhs.items} ({lhs.count})"
                         )
-                    if lhs.count > largest or not (lhs.items or include_empty_lhs):
+                    if not (
+                        meets_threshold(joint, lhs.count, min_confidence)
+                        and (lhs.items or include_empty_lhs)
+                    ):
                         continue
                     passed.append(consequent)
                     rhs = itemsets[consequent]
@@ -240,20 +241,6 @@ def generate_rules(
         ) from None
     out.sort(key=ORDERINGS[config.ordering])
     return out
-
-
-def _largest_lhs_count(joint: int, min_confidence: float, total: int) -> int:
-    """The largest lhs count, at most total, at which a rule with this
-    joint count meets min_confidence. The joint count meets_threshold
-    asks of base L never falls as L grows, so the counts that pass are
-    exactly those up to it; meets_threshold corrects the float estimate
-    by a step or two."""
-    lhs_count = math.floor(min(total, (joint + EPS) / min_confidence))
-    while not meets_threshold(joint, lhs_count, min_confidence):
-        lhs_count -= 1
-    while lhs_count < total and meets_threshold(joint, lhs_count + 1, min_confidence):
-        lhs_count += 1
-    return lhs_count
 
 
 CSV_COLUMNS = (

@@ -57,15 +57,6 @@ def parse_int(text: str) -> int:
     return value
 
 
-def parse_ints(texts: Sequence[str]) -> list[int]:
-    """parse_int of each text, with one character test on them all
-    joined."""
-    values = list(map(int, texts))
-    if "".join(texts).strip(_SIGN_AND_DIGITS):
-        raise ValueError(f"not each an optional sign then ASCII digits: {texts!r}")
-    return values
-
-
 def _check_label(label: object) -> str:
     if not isinstance(label, str) or not label:
         raise SchemaError(f"column label must be a non-empty string, got {label!r}")
@@ -213,12 +204,9 @@ class TransactionDatabase:
         """Exact number of transactions containing every item in itemset.
 
         The empty itemset is contained in every transaction, so its
-        count is total.
+        count is total. Each id goes through catalog.check.
         """
-        ids = list(itemset)
-        for item_id in ids:
-            if type(item_id) is not int or not 0 <= item_id < len(self.words):
-                raise UnknownItemError(f"unknown item id {item_id!r}")
+        ids = list(map(self.catalog.check, itemset))
         if not ids:
             return self.total
         rows = self.words[ids]  # AND is idempotent: repeats need no dedup

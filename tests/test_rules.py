@@ -37,7 +37,7 @@ from rulemine import (
 from rulemine import cli
 from rulemine.miner import meets_threshold
 from rulemine.oracle import brute_force_rules
-from rulemine.rules import CSV_COLUMNS, CSV_COLUMNS_EXTENDED, _largest_lhs_count, rule_rows
+from rulemine.rules import CSV_COLUMNS, CSV_COLUMNS_EXTENDED, rule_rows
 
 
 def test_reference_metric_block():
@@ -260,29 +260,42 @@ def test_rule_sides_are_the_mined_itemsets(cicy5_db):
         assert rule.rhs is mined[rule.rhs.items]
 
 
+def _keeps_pair_rule(joint, lhs_count, total, min_confidence):
+    """Whether generate_rules keeps {a=1} => {b=1} on a table where the pair
+    has this joint count and {a=1} this lhs count; the rules must equal the
+    oracle's."""
+    rows = [[("a", 1), ("b", 1)]] * joint + [[("a", 1)]] * (lhs_count - joint)
+    rows += [[("c", 1)]] * (total - len(rows))
+    db = build_database(enumerate(rows))
+    mining, config = MiningConfig(0.05), RuleConfig(min_confidence)
+    rules = generate_rules(mine_frequent(db, mining), config)
+    assert rules == brute_force_rules(db, mining, config)
+    return "{a=1} => {b=1}" in [render_rule(rule, db.catalog) for rule in rules]
+
+
 @pytest.mark.parametrize("min_confidence", [0.1, 0.3, 2 / 3, 0.76, 0.9, 1.0, 1e-10, 1e-12])
 def test_largest_lhs_count_is_where_meets_threshold_stops(min_confidence):
-    total = 60
-    for joint in range(total + 1):
-        largest = _largest_lhs_count(joint, min_confidence, total)
-        assert [lhs_count <= largest for lhs_count in range(total + 1)] == [
+    # joint count 3 of 40 rows; every lhs count from 3 to 40
+    joint, total = 3, 40
+    for lhs_count in range(joint, total + 1):
+        assert _keeps_pair_rule(joint, lhs_count, total, min_confidence) is (
             meets_threshold(joint, lhs_count, min_confidence)
-            for lhs_count in range(total + 1)
-        ]
+        )
 
 
 @pytest.mark.parametrize("lhs_count, kept", [(29, True), (30, True), (31, False)])
 def test_confidence_bound_on_the_epsilon_boundary(lhs_count, kept):
-    # {a=1} => {b=1} has joint count 3; 0.1 * 30 is 3.0000000000000004
-    joint, total = 3, 40
-    rows = [[("a", 1), ("b", 1)]] * joint + [[("a", 1)]] * (lhs_count - joint)
-    rows += [[("c", 1)]] * (total - len(rows))
-    db = build_database(enumerate(rows))
-    mining, config = MiningConfig(0.05), RuleConfig(0.1)
-    rules = generate_rules(mine_frequent(db, mining), config)
-    rendered = [render_rule(rule, db.catalog) for rule in rules]
-    assert ("{a=1} => {b=1}" in rendered) is kept is meets_threshold(joint, lhs_count, 0.1)
-    assert rules == brute_force_rules(db, mining, config)
+    # {a=1} => {b=1} has joint count 3; at lhs count 30 its confidence is
+    # exactly the threshold 0.1
+    assert _keeps_pair_rule(3, lhs_count, 40, 0.1) is kept is meets_threshold(3, lhs_count, 0.1)
+
+
+def test_confidence_on_the_threshold_despite_float_noise():
+    # 0.28 * 25 is 7.000000000000001, so a plain lhs_count * min_confidence
+    # <= joint drops this rule of confidence exactly 0.28; 24 and 26 bracket it
+    assert [_keeps_pair_rule(7, lhs_count, 40, 0.28) for lhs_count in (24, 25, 26)] == [
+        True, True, False
+    ]
 
 
 def _rule(lhs, rhs):

@@ -19,7 +19,7 @@ from rulemine import (
     build_database,
     build_database_from_columns,
 )
-from rulemine.txdb import parse_int, parse_ints, parse_item
+from rulemine.txdb import parse_int, parse_item
 
 
 def test_build_interns_distinct_pairs():
@@ -117,11 +117,14 @@ def test_support_count_of_empty_itemset_is_total():
 
 
 def test_support_count_rejects_unknown_ids():
-    db = build_database([(0, [("a", 1)])])
-    with pytest.raises(UnknownItemError):
-        db.support_count([5])
-    with pytest.raises(UnknownItemError):
-        db.support_count([-1])
+    # two items, so True and 1.0 equal a known id and only their type is wrong
+    db = build_database([(0, [("a", 1), ("b", 1)])])
+    for item_id in (5, len(db.catalog), -1, True, 1.0, "0"):
+        with pytest.raises(UnknownItemError) as checked:
+            db.catalog.check(item_id)
+        with pytest.raises(UnknownItemError) as raised:
+            db.support_count([item_id])
+        assert str(raised.value) == str(checked.value)
 
 
 def test_support_count_matches_horizontal_scan():
@@ -273,7 +276,7 @@ def test_parse_item_rejects_other_spellings_of_an_integer(raw):
 @given(
     texts=st.lists(st.text("0123456789+-_ \t\n\uff11\u0663", max_size=4), max_size=4)
 )
-def test_parse_int_and_parse_ints_are_one_sign_then_ascii_digits_rule(texts):
+def test_parse_int_is_one_sign_then_ascii_digits_rule(texts):
     strict = [re.fullmatch(r"[+-]?[0-9]+", text) is not None for text in texts]
     for text, ok in zip(texts, strict):
         if ok:
@@ -281,11 +284,6 @@ def test_parse_int_and_parse_ints_are_one_sign_then_ascii_digits_rule(texts):
         else:
             with pytest.raises(ValueError):
                 parse_int(text)
-    if all(strict):
-        assert parse_ints(texts) == [int(text) for text in texts]
-    else:
-        with pytest.raises(ValueError):
-            parse_ints(texts)
 
 
 def test_label_validation():
