@@ -393,12 +393,12 @@ def write_itemsets(
 ) -> None:
     """One line per frequent itemset: rendered items (space separated),
     count, support at full precision. Level order, lexicographic within.
-    Each catalog entry is rendered once; every id is checked against the
-    catalog."""
+    Each catalog entry, and each distinct count's support, is rendered
+    once; every id is checked against the catalog."""
     names = [catalog.render(item_id) for item_id in range(len(catalog))]
-    check, total = catalog.check, frequent.total
+    check, total, seen = catalog.check, frequent.total, {}
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
         for items, count in frequent:
             rendered = " ".join([names[check(i)] for i in items])
-            support = count / total  # type: ignore[operator]
-            handle.write(f"{rendered},{count},{support!r}\n")
+            support = seen.get(count) or seen.setdefault(count, repr(count / total))
+            handle.write(f"{rendered},{count},{support}\n")

@@ -19,6 +19,7 @@ token "inf" in both CSV and JSON.
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import math
 import operator
@@ -26,7 +27,10 @@ import os
 import reprlib
 from dataclasses import dataclass
 from functools import partial, reduce
+from types import SimpleNamespace
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
+
+import numpy as np
 
 from .errors import (
     ConfigError,
@@ -36,7 +40,8 @@ from .errors import (
     SchemaError,
     utf8_input,
 )
-from .miner import FrequentSets, Itemset, join_prefix, meets_threshold, valid_threshold
+from .miner import BLOCK_BYTES, FrequentSets, Itemset, _as_keys, _ceil_share
+from .miner import valid_threshold
 from .txdb import ItemCatalog, ItemId, parse_item
 
 
@@ -116,14 +121,11 @@ class AssociationRule(NamedTuple):
 
 
 def render_side(items: Sequence[ItemId], catalog: ItemCatalog) -> str:
-    return "{" + ",".join(catalog.render(i) for i in items) + "}"
+    return "{" + ",".join(map(catalog.render, items)) + "}"
 
 
 def render_rule(rule: AssociationRule, catalog: ItemCatalog) -> str:
-    return (
-        f"{render_side(rule.lhs.items, catalog)} => "
-        f"{render_side(rule.rhs.items, catalog)}"
-    )
+    return " => ".join(render_side(s.items, catalog) for s in (rule.lhs, rule.rhs))
 
 
 def _key_default(rule: AssociationRule):
@@ -181,64 +183,77 @@ def generate_rules(
 ) -> list[AssociationRule]:
     """Emit every strong bipartition of every frequent itemset.
 
-    For each frequent Z and each split Z = X | Y with Y non-empty (and
-    X = {} only when include_empty_lhs), the rule X => Y is kept iff its
-    confidence N(Z)/N(X) clears min_confidence by meets_threshold, the
-    shared epsilon rule. Splits are tested by ap-genrules (Agrawal &
-    Srikant, VLDB 1994, section 3): growing Y shrinks X, which can only
-    raise N(X) and lower the confidence, so the singleton consequents are
-    tested first and each (m+1)-consequent is joined, as candidate_gen
-    joins itemsets, only from m-consequents that passed. singleton_rhs
-    stops after the singletons. All counts come from the frequent sets
-    themselves; a missing subset raises FrequentSetError. The sort key
-    ends in the items of both sides, so the order does not depend on the
-    search.
-
-    Sides are the mined Itemsets themselves. FrequentSets.itemsets()
-    checks each count once; a split only checks that its lhs count is not
-    below the joint count, which the singleton splits of every itemset
-    make hold for all subsets, so the metric block needs no checks.
+    Z = X | Y (Y non-empty; X = {} only if include_empty_lhs, Y one item
+    if singleton_rhs) gives X => Y iff N(Z) >= _ceil_share(min_confidence,
+    N(X)), meets_threshold's bound, computed once per distinct count. The
+    splits of a block of a level's rows are tested at once: the j-subsets
+    are gathered by one table of positions and found by searchsorted over
+    the j-itemsets' keys. Sides are the mined Itemsets. A count that is no
+    int in [0, total] raises FrequentSetError; so does the first missing
+    subset in level, row and split order (LHS size, then positions), and
+    MetricError the first subset counted below its itemset or kept rule
+    with a side of count 0. Levels hold sorted ids in [0, 2**32 - 1).
     """
-    itemsets = frequent.itemsets()
     total = frequent.total
-    min_confidence = config.min_confidence
-    include_empty_lhs = config.include_empty_lhs
-    out: list[AssociationRule] = []
-    try:
-        for items, joint in frequent:
-            consequents = [(item,) for item in items]
-            while consequents:
-                passed = []
-                for consequent in consequents:
-                    lhs = itemsets[tuple([i for i in items if i not in consequent])]
-                    if lhs.count < joint:
-                        raise MetricError(
-                            f"counts must satisfy joint_count <= lhs_count: itemset "
-                            f"{items} ({joint}), subset {lhs.items} ({lhs.count})"
-                        )
-                    if not (
-                        meets_threshold(joint, lhs.count, min_confidence)
-                        and (lhs.items or include_empty_lhs)
-                    ):
-                        continue
-                    passed.append(consequent)
-                    rhs = itemsets[consequent]
-                    try:
-                        metrics = _metrics(lhs.count, rhs.count, joint, total)
-                    except ZeroDivisionError:  # a side of count 0, so joint is 0
-                        raise MetricError(
-                            f"counts must satisfy lhs_count, rhs_count >= 1: "
-                            f"itemset {items}"
-                        ) from None
-                    out.append(AssociationRule(lhs, rhs, joint, *metrics))
-                if config.singleton_rhs or len(passed) < 2:
-                    break  # a join needs two consequents
-                consequents = list(join_prefix(passed))
-    except KeyError as missing:
-        raise FrequentSetError(
-            f"frequent sets are not downward closed: missing subset "
-            f"{missing.args[0]}"
-        ) from None
+    every = [Itemset((), total), *frequent]  # the empty set, then level order
+    counts = [itemset.count for itemset in every]
+    if not ({*map(type, counts)} == {int} and min(counts) >= 0 < total == max(counts)):
+        frequent.itemsets()  # raises FrequentSetError naming the first bad count
+    # -1 pads the counts for missing subsets; past 2**62 they stay Python ints
+    counts = np.array(counts + [-1], np.int64 if total < 1 << 62 else object)
+    distinct, inverse = np.unique(counts, return_inverse=True)
+    shares = [_ceil_share(config.min_confidence, n) for n in distinct.tolist()]
+    needed = np.array(shares, counts.dtype)[inverse]
+    starts = np.cumsum([1, 0, *map(len, frequent.levels[1:])]).tolist()
+    keys, out = [None], []
+    for k, level in enumerate(frequent.levels[1:], start=1):
+        rows = np.array([s.items for s in level], np.intp).reshape(len(level), k)
+        if rows.size and not 0 <= rows.min() <= rows.max() < 0xFFFFFFFF:
+            raise FrequentSetError(f"level {k} holds an id outside [0, 2**32 - 1)")
+        # with a last key of 0xFFFFFFFF ids, every search lands on a key
+        keys.append(_as_keys(np.vstack([rows, np.full((1, k), 0xFFFFFFFF)])))
+        # subsets by size, then lexicographic: column i's complement is full - i
+        by_size = [list(itertools.combinations(range(k), j)) for j in range(k + 1)]
+        subsets, full = sum(by_size, []), (1 << k) - 1
+        smallest_lhs = max((k - 1) * config.singleton_rhs, 1 - config.include_empty_lhs)
+        tested = slice(sum(map(len, by_size[:smallest_lhs])), full)  # LHS columns
+        # found takes 2**k intps a row, the ids of one size a few times that
+        per_block = max(1, BLOCK_BYTES // (8 << k))
+        for first in range(starts[k], starts[k + 1], per_block):
+            block = rows[first - starts[k] :][:per_block].astype(">u4")  # as _as_keys
+            found = [np.zeros((len(block), 1), np.intp)]  # indices into every
+            for j in range(1, k):
+                wanted = _as_keys(block[:, by_size[j]].reshape(-1, j))
+                at = np.searchsorted(keys[j], wanted)
+                at = np.where(keys[j][at] == wanted, at + starts[j], len(every))
+                found.append(at.reshape(len(block), -1))
+            found = np.hstack([*found, np.arange(first, first + len(block))[:, None]])
+            lhs = counts[found]
+            joint = lhs[:, full:]
+            if (lhs < joint).any():
+                row, column = divmod(int((lhs < joint).argmax()), full + 1)
+                items = every[first + row].items
+                subset = tuple(items[p] for p in subsets[column])
+                if found[row, column] == len(every):
+                    raise FrequentSetError(
+                        f"frequent sets are not downward closed: missing subset "
+                        f"{subset} of itemset {items}"
+                    )
+                raise MetricError(
+                    f"counts must satisfy joint_count <= lhs_count: itemset {items} "
+                    f"({joint[row, 0]}), subset {subset} ({lhs[row, column]})"
+                )
+            kept_rows, kept = np.nonzero(joint >= needed[found[:, tested]])
+            sides = full, kept + tested.start, full - tested.start - kept
+            for z, x, y in zip(*(found[kept_rows, c].tolist() for c in sides)):
+                (items, count), lhs_side, rhs_side = every[z], every[x], every[y]
+                if not lhs_side.count or not rhs_side.count:  # so count is 0 too
+                    raise MetricError(
+                        f"counts must satisfy lhs_count, rhs_count >= 1: "
+                        f"itemset {items}"
+                    )
+                metrics = _metrics(lhs_side.count, rhs_side.count, count, total)
+                out.append(AssociationRule(lhs_side, rhs_side, count, *metrics))
     out.sort(key=ORDERINGS[config.ordering])
     return out
 
@@ -276,24 +291,30 @@ def _once_per_side(
     return side
 
 
+def _fmt_column(values: Sequence[float], precision: int) -> list[str]:
+    """_fmt of each value, once per float64 bit pattern (-0.0 and NaN too)."""
+    bits = np.array(values, np.float64).view(np.int64)
+    distinct, inverse = np.unique(bits, return_inverse=True)
+    texts = list(map(f"{{:.{precision}f}}".format, distinct.view(np.float64).tolist()))
+    return list(map(texts.__getitem__, inverse.tolist()))
+
+
 def rule_rows(
     rules: Iterable[AssociationRule],
     catalog: ItemCatalog,
     precision: int,
     extended: bool,
+    cell: Callable[[str], str] = str,
 ) -> Iterator[list[str]]:
     """Each rule as the cells of a rules table row (CSV_COLUMNS, plus
-    conviction and leverage when extended), numbered from 1. Each side
-    is rendered once."""
-    side = _once_per_side(partial(render_side, catalog=catalog))
-    for position, rule in enumerate(rules, start=1):
-        metrics = rule.support, rule.confidence, rule.coverage, rule.lift
-        row = [str(position), side(rule.lhs.items), side(rule.rhs.items)]
-        row += [_fmt(value, precision) for value in metrics]
-        row.append(str(rule.count))
-        if extended:
-            row += [_fmt(rule.conviction, precision), _fmt(rule.leverage, precision)]
-        yield row
+    conviction and leverage when extended), numbered from 1, built by
+    column: each side is rendered, then passed through cell, once."""
+    lhs, rhs, count, *metrics = list(zip(*rules)) or [()] * len(AssociationRule._fields)
+    side = _once_per_side(lambda items: cell(render_side(items, catalog)))
+    lhs, rhs = (map(side, map(operator.attrgetter("items"), s)) for s in (lhs, rhs))
+    texts = [_fmt_column(values, precision) for values in metrics[: 4 + 2 * extended]]
+    numbers = map(str, range(1, len(count) + 1))
+    return map(list, zip(numbers, lhs, rhs, *texts[:4], map(str, count), *texts[4:]))
 
 
 def write_rules_csv(
@@ -302,13 +323,15 @@ def write_rules_csv(
     path: str | os.PathLike,
     precision: int = 4,
 ) -> None:
-    """Rule table in the reference column layout (CSV_COLUMNS:
-    rule,LHS,RHS,support,confidence,coverage,lift,count), one rule per
-    line. Each side is rendered once."""
+    """The rules table (CSV_COLUMNS), one rule per line: rule_rows' cells
+    as csv.writer(lineterminator="\n") writes them, each distinct side cell
+    quoted by it once and each line one join."""
+    # writerow returns what the file's write returns: here the line itself
+    line = csv.writer(SimpleNamespace(write=str), lineterminator="\n").writerow
+    rows = rule_rows(rules, catalog, precision, False, lambda cell: line([cell])[:-1])
+    text = "\n".join([",".join(CSV_COLUMNS), *map(",".join, rows)])
     with open(path, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(CSV_COLUMNS)
-        writer.writerows(rule_rows(rules, catalog, precision, False))
+        handle.write(text + "\n")
 
 
 @dataclass(frozen=True)

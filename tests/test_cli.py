@@ -849,6 +849,34 @@ def test_predict_flow(tmp_path, capsys):
     assert "=>" in payload["predictions"][0]["rule"]
 
 
+def test_calls_in_one_process_share_no_flag_values(tmp_path, capsys):
+    # the parser is built once per process: one call's --known values must
+    # not reach the next, and a bad flag must not change later calls
+    assert cli.build_parser() is cli.build_parser()
+    table = tmp_path / "table.csv"
+    table.write_text(
+        "a,b,c\n" + "".join(f"{t % 3},{t % 3 + 10},{t % 3 + 20}\n" for t in range(30)),
+        encoding="utf-8",
+    )
+    out = tmp_path / "out"
+    assert _mine(table, out, "--format", "json", "--min-support", "0.2") == 0
+    predict = ["predict", "--input", str(out / "rules.json"), "--target", "c"]
+    capsys.readouterr()
+    assert cli.main(predict + ["--known", "a=1", "--known", "b=11"]) == 0
+    assert json.loads(capsys.readouterr().out)["known"] == ["a=1", "b=11"]
+    assert cli.main(predict) == 0
+    assert json.loads(capsys.readouterr().out)["known"] == []
+    for _ in range(2):
+        assert cli.main(predict + ["--bogus"]) == 2
+        assert "unrecognized arguments: --bogus" in capsys.readouterr().err
+        assert cli.main(["report", "--input", str(out / "rules.json"), "--top", "-1"]) == 2
+        assert capsys.readouterr().err == "error: --top must be non-negative\n"
+        assert _mine(table, tmp_path / "bad", "--min-support", "2") == 2
+        assert capsys.readouterr().err == "error: --min-support must lie in (0,1]\n"
+        assert cli.main(predict + ["--known", "a=2"]) == 0
+        assert json.loads(capsys.readouterr().out)["known"] == ["a=2"]
+
+
 def test_predict_accepts_source_header(tmp_path, capsys):
     table = tmp_path / "hodge.csv"
     table.write_text(

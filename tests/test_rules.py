@@ -1,11 +1,13 @@
 from __future__ import annotations
 
 import contextlib
+import csv
 import io
 import json
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -18,11 +20,13 @@ from rulemine import (
     ItemCatalog,
     Itemset,
     MetricError,
+    Metrics,
     MiningConfig,
     PredictionError,
     RuleConfig,
     UnknownItemError,
     build_database,
+    build_database_from_columns,
     compute_metrics,
     generate_rules,
     mine_frequent,
@@ -35,6 +39,7 @@ from rulemine import (
     write_rules_json,
 )
 from rulemine import cli
+from rulemine import rules as rules_module
 from rulemine.miner import meets_threshold
 from rulemine.oracle import brute_force_rules
 from rulemine.rules import CSV_COLUMNS, CSV_COLUMNS_EXTENDED, rule_rows
@@ -576,3 +581,131 @@ def test_write_rules_json_rejects_non_finite_metrics(tmp_path, field, value):
     rule = AssociationRule(Itemset((0,), 3), Itemset((1,), 3), 3, *metrics)
     with pytest.raises(ValueError, match="not JSON compliant"):
         write_rules_json([rule], catalog, 4, tmp_path / "rules.json")
+
+
+def _frequent(total, *levels):
+    """FrequentSets over levels of (items, count) pairs."""
+    itemsets = (tuple(Itemset(items, count) for items, count in level) for level in levels)
+    return FrequentSets(((), *itemsets), total)
+
+
+@pytest.mark.parametrize("block_bytes", [None, 1])  # None: the default blocks
+@pytest.mark.parametrize(
+    "frequent, config, error, match",
+    [
+        # (2,), (0,2) and (1,2) are missing: the first split in LHS-size
+        # order to need one is {2} => {0,1}, with a two-item consequent
+        (
+            _frequent(4, [((0,), 3), ((1,), 3)], [((0, 1), 3)], [((0, 1, 2), 2)]),
+            RuleConfig(0.5),
+            FrequentSetError,
+            r"not downward closed: missing subset \(2,\) of itemset \(0, 1, 2\)$",
+        ),
+        # faults of both kinds in one itemset: the missing (0,) comes before
+        # (1,), whose count 3 is below the joint 4, in split order
+        (
+            _frequent(4, [((1,), 3)], [((0, 1), 4)]),
+            RuleConfig(0.5),
+            FrequentSetError,
+            r"not downward closed: missing subset \(0,\) of itemset \(0, 1\)$",
+        ),
+        # the first subset counted below its itemset, in row then split order
+        (
+            _frequent(4, [((0,), 4), ((1,), 4), ((2,), 2)], [((0, 1), 4), ((0, 2), 3)]),
+            RuleConfig(0.5),
+            MetricError,
+            r"joint_count <= lhs_count: itemset \(0, 2\) \(3\), subset \(2,\) \(2\)$",
+        ),
+        # a kept rule with a side of count 0 names its itemset
+        (
+            _frequent(
+                4, [((0,), 2), ((1,), 2), ((2,), 0)], [((0, 1), 2), ((0, 2), 0), ((1, 2), 0)]
+            ),
+            RuleConfig(1e-10, include_empty_lhs=False),
+            MetricError,
+            r"lhs_count, rhs_count >= 1: itemset \(0, 2\)$",
+        ),
+    ],
+)
+def test_rules_name_the_first_fault(monkeypatch, block_bytes, frequent, config, error, match):
+    if block_bytes is not None:
+        monkeypatch.setattr(rules_module, "BLOCK_BYTES", block_bytes)
+    with pytest.raises(error, match=match):
+        generate_rules(frequent, config)
+
+
+def _dense_frequent():
+    """Long frequent itemsets: 8 columns that each copy a latent value on
+    {0,1,2} with probability 0.8, over 400 rows."""
+    rng = np.random.default_rng(3)
+    z = rng.integers(0, 3, 400)
+    columns = {
+        f"c{c}": np.where(rng.random(400) < 0.8, z, rng.integers(0, 3, 400))
+        for c in range(8)
+    }
+    return mine_frequent(build_database_from_columns(columns), MiningConfig(0.05))
+
+
+@pytest.mark.parametrize("block_bytes", [1, 100, 5000])
+@pytest.mark.parametrize(
+    "config",
+    [RuleConfig(0.6), RuleConfig(0.3, include_empty_lhs=False), RuleConfig(0.5, singleton_rhs=True)],
+)
+def test_rules_do_not_depend_on_the_block_size(monkeypatch, block_bytes, config):
+    # 1 byte gives blocks of one row; the rules must be the same as with the
+    # default blocks, which hold whole levels here
+    frequent = _dense_frequent()
+    assert frequent.max_size == 8
+    expected = generate_rules(frequent, config)
+    assert len(expected) > 1000
+    monkeypatch.setattr(rules_module, "BLOCK_BYTES", block_bytes)
+    assert generate_rules(frequent, config) == expected
+
+
+# A label with a quote, so that a side cell is quoted with it doubled.
+_QUOTED_CATALOG = ItemCatalog((('a"b', 1), ("c", 1), ("c", 22), ('"', -3)))
+_SIDES = [(), (0,), (1, 2), [3], [0, 1, 3], (0, 1, 2, 3)]
+_METRICS = st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, 1.0, 0.5]) | st.floats()
+
+
+@st.composite
+def _csv_rules(draw):
+    """Rules over _QUOTED_CATALOG whose sides repeat (the same objects) and
+    may be lists, with any float metrics, -0.0, infinities and NaN."""
+    sides = [Itemset(items, draw(st.integers(0, 99))) for items in _SIDES]
+    side = st.sampled_from(sides)
+    rule = st.builds(
+        AssociationRule,
+        side,
+        side.filter(lambda itemset: len(itemset.items) > 0),
+        st.integers(0, 10**20),
+        *[_METRICS] * len(Metrics._fields),
+    )
+    return draw(st.lists(rule, max_size=12))
+
+
+@settings(max_examples=200, deadline=None)
+@given(rules=_csv_rules(), precision=st.integers(0, 17), extended=st.booleans())
+def test_rules_table_matches_a_row_at_a_time_reference(tmp_path_factory, rules, precision, extended):
+    def side(itemset):
+        entries = [_QUOTED_CATALOG.entries[item] for item in itemset.items]
+        return "{" + ",".join(f"{column}={value}" for column, value in entries) + "}"
+
+    def row(position, rule):
+        metrics = [rule.support, rule.confidence, rule.coverage, rule.lift]
+        cells = [str(position), side(rule.lhs), side(rule.rhs)]
+        cells += [format(value, f".{precision}f") for value in metrics] + [str(rule.count)]
+        if extended:
+            cells += [format(value, f".{precision}f") for value in (rule.conviction, rule.leverage)]
+        return cells
+
+    expected = [row(position, rule) for position, rule in enumerate(rules, start=1)]
+    assert list(rule_rows(rules, _QUOTED_CATALOG, precision, extended)) == expected
+
+    text = io.StringIO()
+    writer = csv.writer(text, lineterminator="\n")
+    writer.writerow(CSV_COLUMNS)
+    writer.writerows(row[: len(CSV_COLUMNS)] for row in expected)
+    path = tmp_path_factory.mktemp("csv") / "rules.csv"
+    write_rules_csv(rules, _QUOTED_CATALOG, path, precision=precision)
+    assert path.read_bytes() == text.getvalue().encode("utf-8")
