@@ -18,14 +18,16 @@ token "inf" in both CSV and JSON.
 
 from __future__ import annotations
 
+import copy
 import csv
+import io
 import itertools
 import json
 import math
 import operator
 import os
 import reprlib
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial, reduce
 from types import SimpleNamespace
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
@@ -606,18 +608,48 @@ def report_rows_from_csv(path: str, precision: int) -> tuple[list, list]:
     return header, rows
 
 
+# (bytes, checked document) of the last successful read_rules_json; each
+# assignment is one tuple, so a thread sees a whole entry or none
+_last_read: tuple[bytes, RuleSetDocument] | None = None
+
+
 def read_rules_json(path: str | os.PathLike) -> RuleSetDocument:
     """Load a write_rules_json file. Every rule is checked here, but built
     only when read from the document's rules. A file that is not valid
     JSON, lacks a required key, holds a value of the wrong shape or type,
     a total below 1 or a metric that is not finite (bar an "inf"
     conviction), or names an item id outside its catalog raises
-    IngestError naming the path, and the rule when one is at fault."""
-    with open(path, "r", encoding="utf-8") as handle, utf8_input(path):
-        try:
-            document = json.load(handle)
-        except (json.JSONDecodeError, RecursionError) as exc:  # or nested too deep
-            raise IngestError(f"{path}: not valid JSON: {exc}") from None
+    IngestError naming the path, and the rule when one is at fault.
+
+    The process keeps one file's bytes and checked document alive, those
+    of its last successful read: a read of the same bytes, from any path,
+    returns that document without parsing or checking it again, with
+    fresh copies of column_sources, mining and rule_config. Other bytes,
+    and every read in a fresh process, are parsed in full."""
+    global _last_read
+    with open(path, "rb") as handle:
+        data = handle.read()
+    last = _last_read
+    if last is None or last[0] != data:
+        last = _last_read = None  # never two documents alive; a failure keeps none
+        last = _last_read = (data, _parse_rules_json(path, data))
+    document = last[1]
+    return replace(
+        document,
+        column_sources=copy.deepcopy(document.column_sources),
+        mining=copy.deepcopy(document.mining),
+        rule_config=copy.deepcopy(document.rule_config),
+    )
+
+
+def _parse_rules_json(path: str | os.PathLike, data: bytes) -> RuleSetDocument:
+    """The checked document of a rules JSON file's bytes."""
+    with utf8_input(path):  # the text open(path, encoding="utf-8") reads
+        text = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8").read()
+    try:
+        document = json.loads(text)
+    except (json.JSONDecodeError, RecursionError) as exc:  # or nested too deep
+        raise IngestError(f"{path}: not valid JSON: {exc}") from None
     if not isinstance(document, dict):
         raise IngestError(f"{path}: rules document must be a JSON object")
     try:

@@ -2,8 +2,10 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import shutil
 import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -876,6 +878,52 @@ def test_calls_in_one_process_share_no_flag_values(tmp_path, capsys):
         assert cli.main(predict + ["--known", "a=2"]) == 0
         assert json.loads(capsys.readouterr().out)["known"] == ["a=2"]
 
+
+def test_queries_in_one_process_follow_a_rewritten_rules_json(tmp_path, capsys):
+    # one process keeps the last rules.json it read; each rewrite (a mine
+    # at another threshold or a malformed file, the old mtime restored)
+    # must answer as a fresh process does
+    table = tmp_path / "table.csv"
+    table.write_text(
+        "a,b,c\n"
+        + "".join(
+            f"{t % 3},{t % 3 + 10 if t % 7 else 13},{t % 3 + 20 if t % 5 else 23}\n"
+            for t in range(40)
+        ),
+        encoding="utf-8",
+    )
+    for confidence in ("0.6", "0.9"):
+        assert _mine(table, tmp_path / confidence, "--format", "json",
+                     "--min-support", "0.1", "--min-confidence", confidence) == 0  # fmt: skip
+    (tmp_path / "bad").mkdir()
+    (tmp_path / "bad" / "rules.json").write_text('{"total": 1}', encoding="utf-8")
+    path = tmp_path / "rules.json"
+    path.write_text("", encoding="utf-8")
+    queries = [
+        ["report", "--input", str(path), "--top", "10"],
+        ["predict", "--input", str(path), "--known", "a=1", "--target", "c"],
+    ]
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    answers = {}
+    for source in ("0.6", "0.9", "bad", "0.6"):
+        before = path.stat()
+        path.write_bytes((tmp_path / source / "rules.json").read_bytes())
+        os.utime(path, ns=(before.st_atime_ns, before.st_mtime_ns))
+        for argv in queries:
+            capsys.readouterr()
+            code = cli.main(argv)
+            answer = (code, *capsys.readouterr())
+            fresh = subprocess.run(
+                [sys.executable, "-m", "rulemine.cli", *argv],
+                capture_output=True, text=True, env=env,
+            )  # fmt: skip
+            assert answer == (fresh.returncode, fresh.stdout, fresh.stderr), (source, argv)
+            answers[source, argv[0]] = answer
+    assert answers["0.6", "report"] != answers["0.9", "report"]
+    assert answers["0.6", "predict"] != answers["0.9", "predict"]
+    assert answers["bad", "report"] == answers["bad", "predict"] == (
+        1, "", f"error: {path}: missing key 'catalog'\n"
+    )
 
 def test_predict_accepts_source_header(tmp_path, capsys):
     table = tmp_path / "hodge.csv"

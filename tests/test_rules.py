@@ -5,6 +5,9 @@ import csv
 import io
 import json
 import math
+import os
+import sys
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import numpy as np
@@ -17,6 +20,7 @@ from rulemine import (
     ConfigError,
     FrequentSets,
     FrequentSetError,
+    IngestError,
     ItemCatalog,
     Itemset,
     MetricError,
@@ -424,6 +428,137 @@ def test_json_keeps_full_precision(tmp_path, cicy5_db):
     write_rules_json(rules, cicy5_db.catalog, frequent.total, path)
     document = read_rules_json(path)
     assert document.rules == tuple(rules)  # float equality, not approx
+
+
+def _write_rules(path, db, min_confidence: float, **header) -> tuple:
+    """Write the rules of db at support 0.10 and min_confidence; return them."""
+    frequent = mine_frequent(db, MiningConfig(0.10))
+    rules = tuple(generate_rules(frequent, RuleConfig(min_confidence)))
+    write_rules_json(rules, db.catalog, frequent.total, path, **header)
+    return rules
+
+
+def test_a_rewrite_with_the_old_size_and_mtime_is_read_anew(tmp_path, cicy5_db):
+    # the kept document is found by the file's whole contents, so neither
+    # size, mtime nor inode can make a rewritten file read as the old one
+    path = tmp_path / "rules.json"
+    rules = _write_rules(path, cicy5_db, 0.80, mining={"min_support": 0.5})
+    assert read_rules_json(path).mining == {"min_support": 0.5}
+    before = path.stat()
+    path.write_bytes(path.read_bytes().replace(b'"min_support": 0.5', b'"min_support": 0.6'))
+    os.utime(path, ns=(before.st_atime_ns, before.st_mtime_ns))
+    after = path.stat()
+    assert (after.st_size, after.st_mtime_ns, after.st_ino) == (
+        before.st_size, before.st_mtime_ns, before.st_ino
+    )
+    document = read_rules_json(path)
+    assert document.mining == {"min_support": 0.6}
+    assert document.rules == rules
+    swapped = tmp_path / "swapped.json"
+    fewer = _write_rules(swapped, cicy5_db, 0.95)
+    os.replace(swapped, path)
+    assert len(fewer) < len(rules)
+    assert read_rules_json(path).rules == fewer
+
+
+def test_files_with_the_same_bytes_read_alike(tmp_path, cicy5_db):
+    one, two = tmp_path / "one.json", tmp_path / "two.json"
+    _write_rules(one, cicy5_db, 0.80, column_sources={"item1": "h11"})
+    two.write_bytes(one.read_bytes())
+    assert read_rules_json(one) == read_rules_json(two)
+    assert read_rules_json(two) == read_rules_json(one)
+
+
+def test_a_kept_document_equals_a_fresh_parse(tmp_path, cicy5_db, monkeypatch):
+    path, copy = tmp_path / "rules.json", tmp_path / "copy.json"
+    header = {
+        "column_sources": {"item1": "h11"},
+        "mining": {"min_support": 0.1},
+        "rule_config": {"min_confidence": 0.8},
+    }
+    _write_rules(path, cicy5_db, 0.80, **header)
+    copy.write_bytes(path.read_bytes())
+    first = read_rules_json(path)
+    kept = read_rules_json(path)
+    assert kept.catalog is first.catalog  # not parsed again
+    monkeypatch.setattr(rules_module, "_last_read", None)
+    fresh = read_rules_json(copy)
+    assert fresh.catalog is not kept.catalog
+    assert kept == fresh
+    assert tuple(kept.rules) == tuple(fresh.rules) and kept.total == fresh.total
+    assert (kept.column_sources, kept.mining, kept.rule_config) == tuple(header.values())
+
+
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        (b"{", "not valid JSON: Expecting property name"),
+        (b"\xff", "not UTF-8: 'utf-8' codec can't decode byte 0xff in position 0"),
+        (b'{"catalog": ["a=1"], "total": 1, "rules": [1]}', "rule 0: malformed rules document"),
+    ],
+    ids=["json", "utf8", "rule"],
+)
+def test_a_malformed_file_fails_every_read(tmp_path, cicy5_db, bad, message):
+    good, path = tmp_path / "good.json", tmp_path / "rules.json"
+    rules = _write_rules(good, cicy5_db, 0.80)
+    path.write_bytes(good.read_bytes())
+    assert read_rules_json(path).rules == rules
+    path.write_bytes(bad)  # the same path, straight after a good read
+    for _ in range(2):
+        with pytest.raises(IngestError) as failure:
+            read_rules_json(path)
+        assert str(failure.value).startswith(f"{path}: {message}")
+        assert read_rules_json(good).rules == rules
+    path.write_bytes(good.read_bytes())
+    assert read_rules_json(path).rules == rules
+
+
+def test_changes_to_a_document_do_not_reach_the_next_read(tmp_path):
+    path = tmp_path / "rules.json"
+    header = {
+        "column_sources": {"a": ["h11", {"deep": 1}]},
+        "mining": {"min_support": 0.5, "nested": {"list": [1, 2]}},
+        "rule_config": {"orderings": ["default"]},
+    }
+    document = {"catalog": ["a=1"], "total": 1, **header, "rules": []}
+    path.write_text(json.dumps(document), encoding="utf-8")
+    for _ in range(2):
+        document = read_rules_json(path)
+        assert (
+            document.column_sources, document.mining, document.rule_config
+        ) == tuple(header.values())
+        document.column_sources["a"][1]["deep"] = 2
+        document.column_sources["b"] = "h12"
+        document.mining["nested"]["list"].append(3)
+        document.mining["min_support"] = 0.9
+        document.rule_config["orderings"].clear()
+        with pytest.raises(TypeError):
+            document.rules[0] = None
+
+
+def test_threads_reading_two_files_get_their_own_documents(tmp_path, cicy5_db):
+    paths = [tmp_path / "many.json", tmp_path / "few.json"]
+    expected = {
+        paths[0]: _write_rules(paths[0], cicy5_db, 0.80),
+        paths[1]: _write_rules(paths[1], cicy5_db, 0.95),
+    }
+
+    def read_alternately(start: int) -> list:
+        order = paths[start:] + paths[:start]
+        return [
+            read_rules_json(path).rules == expected[path]
+            for _ in range(10)
+            for path in order
+        ]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(4) as pool:
+            answers = list(pool.map(read_alternately, [0, 1, 0, 1], timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
+    assert answers == [[True] * 20] * 4
 
 
 def test_render_side_and_rule(cicy5_db):
