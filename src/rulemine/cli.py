@@ -363,9 +363,10 @@ def cmd_predict(args: argparse.Namespace) -> int:
                 target = label
                 break
 
-    # predict reads only these; the rest of the file stays unbuilt
+    # predict reads only the rules that can vote; the rest stay unbuilt
     rules = document.rules.with_single_rhs_in(
-        item for item, (column, _) in enumerate(catalog) if column == target
+        (item for item, (column, _) in enumerate(catalog) if column == target),
+        known_ids,
     )
     predictions = predict(known_ids, rules, target, catalog)
     if args.top is not None:

@@ -6,7 +6,8 @@ Each candidate keeps its single best witnessing rule (highest
 confidence, then highest support, then shortest and lexicographically
 smallest LHS); candidates rank by confidence descending, ties by support
 descending, then ascending value. No matching rule means no prediction,
-which is a valid empty answer, not an error.
+which is a valid empty answer, not an error. `rules` may be any rules,
+or only the voters (StoredRules.with_single_rhs_in narrows them so).
 """
 
 from __future__ import annotations

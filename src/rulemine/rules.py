@@ -451,10 +451,11 @@ class StoredRules(Sequence[AssociationRule]):
     builds nothing and a slice builds only its own rules. Compares equal
     to a tuple of the same rules."""
 
-    __slots__ = ("_objects",)
+    __slots__ = ("_objects", "_by_rhs")
 
     def __init__(self, objects: list[dict]) -> None:
         self._objects = objects
+        self._by_rhs: dict[ItemId, list[int]] | None = None  # built on first use
 
     def __len__(self) -> int:
         return len(self._objects)
@@ -472,17 +473,27 @@ class StoredRules(Sequence[AssociationRule]):
             return tuple(self) == tuple(other)
         return NotImplemented
 
-    def with_single_rhs_in(self, items: Iterable[ItemId]) -> StoredRules:
-        """The rules whose RHS is one item of `items`, in file order,
-        picked without building any rule."""
-        wanted = frozenset(items)
-        return StoredRules(
-            [
-                rule
-                for rule in self._objects
-                if len(rhs := rule["rhs"]) == 1 and rhs[0] in wanted
-            ]
-        )
+    def with_single_rhs_in(
+        self, items: Iterable[ItemId], known: Iterable[ItemId]
+    ) -> StoredRules:
+        """The rules whose RHS is one item of `items` and whose LHS lies
+        within `known`, in file order: the rules predict lets vote, picked
+        without building any rule. The first call builds an index of rule
+        positions by single RHS item, which every later call reuses."""
+        if (by_rhs := self._by_rhs) is None:
+            by_rhs = {}
+            for position, rule in enumerate(self._objects):
+                if len(rhs := rule["rhs"]) == 1:
+                    by_rhs.setdefault(rhs[0], []).append(position)
+            self._by_rhs = by_rhs  # one assignment: a racing thread builds its own
+        known, objects = frozenset(known), self._objects
+        voters = [
+            position
+            for item in frozenset(items)
+            for position in by_rhs.get(item, ())
+            if known.issuperset(objects[position]["lhs"])
+        ]
+        return StoredRules([objects[position] for position in sorted(voters)])
 
 
 def _is_number(value: object) -> bool:

@@ -1,17 +1,20 @@
 from __future__ import annotations
 
+import io
 import json
 import math
 import os
 import shutil
 import subprocess
 import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from rulemine import cli
+from rulemine import cli, rules
 
 
 UNIFORM = "a,b\n1,1\n1,1\n1,1\n1,1\n"
@@ -924,6 +927,123 @@ def test_queries_in_one_process_follow_a_rewritten_rules_json(tmp_path, capsys):
     assert answers["bad", "report"] == answers["bad", "predict"] == (
         1, "", f"error: {path}: missing key 'catalog'\n"
     )
+
+
+# c is (a + b - 10) mod 3 plus 20, but 20 in every fifth row, and e is
+# (a + d - 30) mod 3 plus 40, but 40 in every seventh: mined at
+# --min-support 0.02, the rules of c have LHSs of every size up to four
+DEPENDENT = "a,b,c,d,e\n" + "".join(
+    f"{t % 3},{t % 2 + 10},{(t % 3 + t % 2) % 3 + 20 if t % 5 else 20},"
+    f"{t % 4 + 30},{(t % 3 + t % 4) % 3 + 40 if t % 7 else 40}\n"
+    for t in range(120)
+)
+
+
+def _mine_dependent(tmp_path, confidence: str) -> Path:
+    table = tmp_path / "dependent.csv"
+    table.write_text(DEPENDENT, encoding="utf-8")
+    out = tmp_path / f"dependent-{confidence}"
+    assert _mine(table, out, "--format", "json", "--min-support", "0.02",
+                 "--min-confidence", confidence) == 0  # fmt: skip
+    return out / "rules.json"
+
+
+def test_predict_builds_only_the_rules_that_can_vote(tmp_path, capsys, monkeypatch):
+    path = _mine_dependent(tmp_path, "0.3")
+    document = json.loads(path.read_text(encoding="utf-8"))
+    catalog = document["catalog"]
+    known = {catalog.index("a=1"), catalog.index("b=10")}
+    column = [
+        rule
+        for rule in document["rules"]
+        if len(rule["rhs"]) == 1 and catalog[rule["rhs"][0]].startswith("c=")
+    ]
+    voters = [rule for rule in column if known.issuperset(rule["lhs"])]
+    assert [] in [rule["lhs"] for rule in voters] and 1 < len(voters) < len(column)
+    built, build = [], rules._rule_from_json
+
+    def counted_build(rule: dict):
+        built.append(rule)
+        return build(rule)
+
+    monkeypatch.setattr(rules, "_rule_from_json", counted_build)
+    argv = ["predict", "--input", str(path), "--known", "a=1", "--known", "b=10", "--target", "c"]
+    indexes = []
+    for _ in range(2):
+        built.clear()
+        capsys.readouterr()
+        assert cli.main(argv) == 0
+        assert json.loads(capsys.readouterr().out)["predictions"][0]["item"] == "c=21"
+        assert built == voters  # in file order
+        indexes.append(rules.read_rules_json(path).rules._by_rhs)
+    # the second call reused the index the first one built
+    assert indexes[0] is indexes[1] is not None
+
+
+def test_threads_predicting_from_new_bytes_answer_as_a_fresh_process(tmp_path, monkeypatch):
+    # four threads ask at once, first from bytes the process has not read
+    # (no other test mines at 0.4), then from a document read but not yet
+    # indexed, so threads may build its index of rules by RHS item in a race
+    sources = [_mine_dependent(tmp_path, confidence) for confidence in ("0.4", "0.6")]
+    path = tmp_path / "rules.json"
+    queries = [
+        ["predict", "--input", str(path), *known, "--target", "c"]
+        for known in (
+            ["--known", "a=1", "--known", "b=10", "--known", "d=31", "--known", "e=41"],
+            ["--known", "a=2"],
+            [],
+        )
+    ]
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    streams = threading.local()  # each thread's (stdout, stderr)
+
+    class ThreadStream:
+        def __init__(self, index: int) -> None:
+            self.index = index
+
+        def write(self, text: str) -> int:
+            return streams.pair[self.index].write(text)
+
+        def flush(self) -> None:
+            pass
+
+    def ask(argv: list[str]) -> tuple:
+        streams.pair = io.StringIO(), io.StringIO()
+        return cli.main(argv), *(stream.getvalue() for stream in streams.pair)
+
+    answers = {}
+    for number, source in enumerate(sources):
+        path.write_bytes(source.read_bytes())
+        fresh = [
+            subprocess.run([sys.executable, "-m", "rulemine.cli", *argv],
+                           capture_output=True, text=True, env=env)  # fmt: skip
+            for argv in queries
+        ]
+        if number:
+            assert rules.read_rules_json(path).rules._by_rhs is None
+        start = threading.Barrier(4)
+
+        def ask_all(first: int) -> list[tuple]:
+            start.wait(timeout=60)
+            order = [*range(first, len(queries)), *range(first)]
+            return [(index, ask(queries[index])) for _ in range(5) for index in order]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        monkeypatch.setattr(sys, "stdout", ThreadStream(0))
+        monkeypatch.setattr(sys, "stderr", ThreadStream(1))
+        try:
+            with ThreadPoolExecutor(4) as pool:
+                replies = list(pool.map(ask_all, [0, 1, 2, 0], timeout=60))
+        finally:
+            monkeypatch.undo()
+            sys.setswitchinterval(interval)
+        for index, answer in (reply for thread in replies for reply in thread):
+            run = fresh[index]
+            assert answer == (run.returncode, run.stdout, run.stderr), (number, index)
+        answers[number] = [(run.stdout, run.stderr) for run in fresh]
+    assert answers[0] != answers[1]
+
 
 def test_predict_accepts_source_header(tmp_path, capsys):
     table = tmp_path / "hodge.csv"

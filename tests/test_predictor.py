@@ -1,9 +1,15 @@
 from __future__ import annotations
 
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rulemine import (
     AssociationRule,
+    ItemCatalog,
     Itemset,
     MiningConfig,
     PredictionError,
@@ -16,6 +22,7 @@ from rulemine import (
     mine_frequent,
     predict,
 )
+from rulemine.rules import StoredRules
 
 
 def _rule(lhs, lhs_count, rhs, rhs_count, joint, total):
@@ -213,3 +220,102 @@ def test_best_witness_per_candidate_wins():
     predictions = predict([a, b], [weak, strong], "c", catalog)
     assert len(predictions) == 1
     assert predictions[0].rule == strong
+
+
+# Three columns of three values; ids 0-2 are a, 3-5 b, 6-8 c.
+_CATALOG = ItemCatalog(tuple((column, value) for column in "abc" for value in range(3)))
+_IDS = st.integers(0, len(_CATALOG) - 1)
+_SIDE = st.lists(_IDS, unique=True, max_size=3).map(sorted)
+# few metric values, so witnesses tie on confidence and support
+_SHARES = st.sampled_from([0.25, 0.5, 1.0])
+
+
+@st.composite
+def _rule_objects(draw) -> list[dict]:
+    """Checked rule objects: single- and multi-item RHSs, empty LHSs,
+    LHSs holding an item of any column, and copies of a rule that differ
+    only in a metric no witness test reads, in any file order."""
+    rules = [
+        {
+            "lhs": draw(_SIDE),
+            "rhs": draw(_SIDE.filter(bool)),
+            "lhs_count": 4,
+            "rhs_count": 4,
+            "count": 2,
+            "support": draw(_SHARES),
+            "confidence": draw(_SHARES),
+            "coverage": 0.5,
+            "lift": draw(st.sampled_from([1.0, 2.0])),
+            "conviction": draw(st.sampled_from([1.5, "inf"])),
+            "leverage": 0.0,
+        }
+        for _ in range(draw(st.integers(0, 25)))
+    ]
+    copies = draw(st.lists(st.sampled_from(rules), max_size=6)) if rules else []
+    lifts = st.sampled_from([1.0, 2.0, 3.0])
+    rules += [{**rule, "lift": draw(lifts)} for rule in copies]
+    return draw(st.permutations(rules))
+
+
+@st.composite
+def _queries(draw) -> tuple[list[int], str, list[int]]:
+    """(known ids, target column, the column's ids in any order, some
+    twice); the known ids may hold an item of the target column."""
+    known = draw(st.lists(_IDS, unique=True, max_size=4))
+    target = draw(st.sampled_from(["a", "b", "c", "no_such_column"]))
+    column = [item for item, (name, _) in enumerate(_CATALOG) if name == target]
+    twice = draw(st.lists(st.sampled_from(column), max_size=2)) if column else []
+    return known, target, draw(st.permutations(column + twice))
+
+
+def _answer(known, rules, target):
+    try:
+        return predict(known, rules, target, _CATALOG)
+    except PredictionError as exc:
+        return str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(objects=_rule_objects(), queries=st.lists(_queries(), min_size=1, max_size=6))
+def test_rules_narrowed_to_the_voters_predict_as_all_rules(objects, queries):
+    # one StoredRules answers every query, so later calls reuse its index
+    stored = StoredRules(objects)
+    every = tuple(stored)
+    for known, target, targets in queries:
+        voters = stored.with_single_rhs_in(targets, known)
+        assert _answer(known, voters, target) == _answer(known, every, target)
+        assert voters == tuple(
+            rule
+            for rule in every
+            if len(rule.rhs.items) == 1
+            and rule.rhs.items[0] in targets
+            and set(rule.lhs.items) <= set(known)
+        )
+
+
+def test_threads_indexing_one_rule_set_at_once_each_see_every_voter():
+    # the first call builds the index of rules by RHS item; threads that
+    # call at once may each build one, but none may read one half filled
+    objects = [
+        {"lhs": [n % 3] if n % 4 else [], "rhs": [n % 9] if n % 5 else [3, 6]}
+        for n in range(4000)
+    ]
+    targets, known = range(3, 9), [0, 1]
+    voters = sum(
+        len(rule["rhs"]) == 1 and rule["rhs"][0] in targets and set(rule["lhs"]) <= set(known)
+        for rule in objects
+    )
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for _ in range(20):
+            stored, start = StoredRules(objects), threading.Barrier(4)
+
+            def count_voters(_) -> int:
+                start.wait(timeout=60)
+                return len(stored.with_single_rhs_in(targets, known))
+
+            with ThreadPoolExecutor(4) as pool:
+                assert list(pool.map(count_voters, range(4), timeout=60)) == [voters] * 4
+    finally:
+        sys.setswitchinterval(interval)
