@@ -72,6 +72,20 @@ class SchemaConfig:
     missing_markers: frozenset[str] = DEFAULT_MISSING_MARKERS
 
     def __post_init__(self) -> None:
+        columns, markers = self.columns, self.missing_markers
+        if not isinstance(columns, (list, tuple)):
+            raise SchemaError("'columns' must be a list of pairs")
+        for entry in columns:
+            if not isinstance(entry, (list, tuple)) or len(entry) != 2:
+                raise SchemaError(
+                    f"each column entry must be a [source, label] pair, got {entry!r}"
+                )
+        if not isinstance(markers, (list, tuple, set, frozenset)) or not all(  # no str
+            isinstance(marker, str) for marker in markers
+        ):
+            raise SchemaError("'missing_markers' must be a list of strings")
+        object.__setattr__(self, "columns", tuple(map(tuple, columns)))  # JSON lists
+        object.__setattr__(self, "missing_markers", frozenset(markers))
         if not self.columns:
             raise SchemaError(f"schema {self.name!r} maps no columns")
         sources = [source for source, _ in self.columns]
@@ -91,9 +105,6 @@ class SchemaConfig:
                 f"missing_policy must be one of {MISSING_POLICIES}, "
                 f"got {self.missing_policy!r}"
             )
-        object.__setattr__(
-            self, "missing_markers", frozenset(self.missing_markers)
-        )
 
     @property
     def labels(self) -> tuple[str, ...]:
@@ -133,7 +144,8 @@ SCHEMA_PRESETS = {"cicy5": CICY5_SCHEMA, "cicy6": CICY6_SCHEMA}
 
 
 def load_schema_file(path: str | os.PathLike) -> SchemaConfig:
-    """Read a JSON schema document; content errors raise SchemaError."""
+    """Read a JSON schema document; content errors raise SchemaError
+    prefixed with the path."""
     with open(path, "r", encoding="utf-8") as handle, utf8_input(path):
         try:
             document = json.load(handle)
@@ -141,32 +153,16 @@ def load_schema_file(path: str | os.PathLike) -> SchemaConfig:
             raise SchemaError(f"{path}: not valid JSON: {exc}") from None
     if not isinstance(document, dict) or "columns" not in document:
         raise SchemaError(f"{path}: schema document must map 'columns'")
-    raw_columns = document["columns"]
-    if not isinstance(raw_columns, list):
-        raise SchemaError(f"{path}: 'columns' must be a list of pairs")
-    columns = []
-    for entry in raw_columns:
-        if not isinstance(entry, (list, tuple)) or len(entry) != 2:
-            raise SchemaError(
-                f"{path}: each column entry must be a [source, label] pair, "
-                f"got {entry!r}"
-            )
-        columns.append((entry[0], entry[1]))
-    name = document.get("name") or os.path.splitext(os.path.basename(path))[0]
     markers = document.get("missing_markers")
-    if markers is not None and not (
-        isinstance(markers, list) and all(isinstance(m, str) for m in markers)
-    ):
-        raise SchemaError(f"{path}: 'missing_markers' must be a list of strings")
-    policy = document.get("missing_policy", "drop_row")
-    return SchemaConfig(
-        name=name,
-        columns=tuple(columns),
-        missing_policy=policy,
-        missing_markers=(
-            DEFAULT_MISSING_MARKERS if markers is None else frozenset(markers)
-        ),
-    )
+    try:
+        return SchemaConfig(
+            name=document.get("name") or os.path.splitext(os.path.basename(path))[0],
+            columns=document["columns"],
+            missing_policy=document.get("missing_policy", "drop_row"),
+            missing_markers=DEFAULT_MISSING_MARKERS if markers is None else markers,
+        )
+    except SchemaError as exc:
+        raise SchemaError(f"{path}: {exc}") from None
 
 
 def resolve_schema(identifier: str) -> SchemaConfig | None:

@@ -31,6 +31,7 @@ block writes only its own rows, so the output does not depend on workers.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import math
 import os
@@ -108,7 +109,7 @@ class FrequentSets:
 
     levels[0] is always the empty tuple: the empty itemset is not mined,
     its count is the database total carried separately for rule
-    generation. Each level is lexicographically sorted.
+    generation. rows(k) is the one check of level k: order, ids and counts.
     """
 
     levels: tuple[tuple[Itemset, ...], ...]
@@ -125,33 +126,52 @@ class FrequentSets:
     def max_size(self) -> int:
         return len(self.levels) - 1
 
-    def itemsets(self) -> dict[tuple[ItemId, ...], Itemset]:
-        """Lookup table from item tuple to its Itemset, the same objects
-        the levels hold; the empty set maps to Itemset((), total). Raises
-        FrequentSetError naming the itemset unless every count is an int
-        in [0, total]."""
-        total = self.total
-        if not isinstance(total, int) or total <= 0:
+    def rows(self, k: int) -> tuple[np.ndarray, list[int]]:
+        """Level k as its (n, k) intp id matrix and its n counts. FrequentSetError
+        names the total unless it is an int >= 1, the itemset of a count no int
+        in [0, total] (walked only if a one-pass test fails), and the level
+        unless its rows are sorted k-itemsets of increasing ids in [0, 2**32)."""
+        total, level = self.total, self.levels[k]
+        if not isinstance(total, int) or isinstance(total, bool) or total <= 0:
             raise FrequentSetError(f"total must be a positive int, got {total!r}")
-        table = {(): Itemset((), total)}
-        for itemset in self:
-            items, count = itemset
-            if count is None:
-                raise FrequentSetError(f"itemset {items} has no count")
-            if not isinstance(count, int) or isinstance(count, bool):
-                raise FrequentSetError(
-                    f"count {count!r} of itemset {items} is not an int"
-                )
-            if not 0 <= count <= total:
-                raise FrequentSetError(
-                    f"count {count} of itemset {items} is outside [0, total={total}]"
-                )
-            table[items] = itemset
-        return table
+        counts = [itemset.count for itemset in level]
+        if not ({*map(type, counts)} <= {int} and 0 <= min(counts, default=0)
+                and max(counts, default=0) <= total):  # fmt: skip
+            for items, count in level:
+                if count is None:
+                    raise FrequentSetError(f"itemset {items} has no count")
+                about = f"count {count!r} of itemset {items} is"
+                if not isinstance(count, int) or isinstance(count, bool):
+                    raise FrequentSetError(f"{about} not an int")
+                if not 0 <= count <= total:
+                    raise FrequentSetError(f"{about} outside [0, total={total}]")
+        ids = _id_matrix([itemset.items for itemset in level], k)
+        if ids is not None and len(ids) and k:
+            step = ids[1:] - ids[:-1]  # a row's first change from the row before grows
+            lead = step[np.arange(len(step)), (step != 0).argmax(axis=1)]
+            rising = (ids[:, 1:] > ids[:, :-1]).all() and (lead > 0).all()
+            ids = ids if rising and 0 <= ids.min() and ids.max() <= 0xFFFFFFFF else None
+        if ids is None or len(ids) and not k:
+            raise FrequentSetError(
+                f"level {k} is not sorted {k}-itemsets of increasing ids in [0, 2**32)"
+            )
+        return ids, counts
 
     def counts(self) -> dict[tuple[ItemId, ...], int]:
-        """Lookup table from item tuple to count, as itemsets() checks it."""
-        return {items: itemset.count for items, itemset in self.itemsets().items()}
+        """Item tuple to count, each level checked by rows(k); () to total."""
+        levels = [self.rows(k) for k in range(len(self.levels))]
+        pairs = (zip(map(tuple, ids.tolist()), counts) for ids, counts in levels)
+        return dict(itertools.chain([((), self.total)], *pairs))
+
+
+def _id_matrix(keys: Sequence[tuple[ItemId, ...]], width: int) -> np.ndarray | None:
+    """The keys as an (n, width) intp matrix; None unless each key holds
+    width ids, each an int (not a bool) that intp holds."""
+    ids = [*itertools.chain.from_iterable(keys)]
+    if {*map(len, keys)} <= {width} and [*map(type, ids)].count(int) == len(ids):
+        with contextlib.suppress(OverflowError):  # an id past intp
+            return np.array(ids, np.intp).reshape(len(keys), width)
+    return None
 
 
 def join_prefix(
@@ -191,6 +211,12 @@ def _as_keys(rows: np.ndarray) -> np.ndarray:
     (memcmp) order is the rows' lexicographic order."""
     rows = np.ascontiguousarray(rows, dtype=">u4")
     return rows.view(f"V{rows.itemsize * rows.shape[1]}").ravel()
+
+
+def _find(keys: np.ndarray, wanted: np.ndarray) -> np.ndarray:
+    """The index of each wanted key among the sorted keys (maybe none), or -1."""
+    at = np.searchsorted(keys, wanted)
+    return np.where(len(keys) and keys.take(at, mode="clip") == wanted, at, -1)
 
 
 # Levels are joined, and candidates counted, in blocks of about this many
@@ -258,10 +284,9 @@ def candidate_gen(
     if not isinstance(level, np.ndarray):
         if not level:
             return []
-        keys = [s.items for s in level]
-        if any(len(key) != len(keys[0]) for key in keys):
-            raise ConfigError("candidate_gen requires itemsets of uniform size")
-        joined = candidate_gen(np.array(keys, np.intp), workers)
+        if (table := _id_matrix([s.items for s in level], len(level[0].items))) is None:
+            raise ConfigError("candidate_gen requires itemsets of one size and int ids")
+        joined = candidate_gen(table, workers)
         return list(map(Itemset, map(tuple, joined.tolist())))
     n, k = level.shape
     if n and (level.min() < 0 or level.max() > 0xFFFFFFFF):
@@ -282,8 +307,7 @@ def candidate_gen(
         joined[:, k] = level[left + 1 + offset, k - 1]
         for m in range(k - 1):
             subsets = _as_keys(np.delete(joined, m, axis=1))
-            found = np.minimum(np.searchsorted(keys, subsets), n - 1)
-            joined = joined[keys[found] == subsets]
+            joined = joined[_find(keys, subsets) >= 0]
         return joined
 
     # the last row of a group has no partner, so every cut lies below n
@@ -328,16 +352,17 @@ def count_candidates(
     left-padded with their own first item (x & x is x), so keys of any
     mix of sizes line up.
     """
+    words = db.words
     if not isinstance(candidates, np.ndarray):
         keys = [c.items for c in candidates]
         if not all(keys):
             raise ConfigError("cannot count the empty itemset as a candidate")
         width = max(map(len, keys), default=1)
         padded = [key[:1] * (width - len(key)) + key for key in keys]
-        table = np.array(padded, np.intp).reshape(len(keys), width)
+        if (table := _id_matrix(padded, width)) is None:
+            raise UnknownItemError(f"candidate item ids must lie in [0, {len(words)})")
         counted = count_candidates(db, table, workers)
         return list(map(Itemset, keys, counted.counts.tolist()))
-    words = db.words
     if candidates.shape[1] == 0:
         raise ConfigError("cannot count the empty itemset as a candidate")
     if candidates.size and (candidates.min() < 0 or candidates.max() >= len(words)):

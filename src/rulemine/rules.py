@@ -42,7 +42,7 @@ from .errors import (
     SchemaError,
     utf8_input,
 )
-from .miner import BLOCK_BYTES, FrequentSets, Itemset, _as_keys, _ceil_share
+from .miner import BLOCK_BYTES, FrequentSets, Itemset, _as_keys, _ceil_share, _find
 from .miner import valid_threshold
 from .txdb import ItemCatalog, ItemId, parse_item
 
@@ -190,30 +190,25 @@ def generate_rules(
     N(X)), meets_threshold's bound, computed once per distinct count. The
     splits of a block of a level's rows are tested at once: the j-subsets
     are gathered by one table of positions and found by searchsorted over
-    the j-itemsets' keys. Sides are the mined Itemsets. A count that is no
-    int in [0, total] raises FrequentSetError; so does the first missing
-    subset in level, row and split order (LHS size, then positions), and
-    MetricError the first subset counted below its itemset or kept rule
-    with a side of count 0. Levels hold sorted ids in [0, 2**32 - 1).
+    the j-itemsets' keys by _find. Sides are the mined Itemsets. rows(k)
+    checks every level first, raising FrequentSetError; then so does the
+    first missing subset in level, row and split order (LHS size, then
+    positions), and MetricError the first subset counted below its
+    itemset or kept rule with a side of count 0.
     """
     total = frequent.total
+    levels = [frequent.rows(k) for k in range(len(frequent.levels))]
     every = [Itemset((), total), *frequent]  # the empty set, then level order
-    counts = [itemset.count for itemset in every]
-    if not ({*map(type, counts)} == {int} and min(counts) >= 0 < total == max(counts)):
-        frequent.itemsets()  # raises FrequentSetError naming the first bad count
+    counts = [total, *itertools.chain.from_iterable(c for _, c in levels)]
     # -1 pads the counts for missing subsets; past 2**62 they stay Python ints
     counts = np.array(counts + [-1], np.int64 if total < 1 << 62 else object)
     distinct, inverse = np.unique(counts, return_inverse=True)
     shares = [_ceil_share(config.min_confidence, n) for n in distinct.tolist()]
     needed = np.array(shares, counts.dtype)[inverse]
-    starts = np.cumsum([1, 0, *map(len, frequent.levels[1:])]).tolist()
+    starts = np.cumsum([1, *(len(c) for _, c in levels)]).tolist()
     keys, out = [None], []
-    for k, level in enumerate(frequent.levels[1:], start=1):
-        rows = np.array([s.items for s in level], np.intp).reshape(len(level), k)
-        if rows.size and not 0 <= rows.min() <= rows.max() < 0xFFFFFFFF:
-            raise FrequentSetError(f"level {k} holds an id outside [0, 2**32 - 1)")
-        # with a last key of 0xFFFFFFFF ids, every search lands on a key
-        keys.append(_as_keys(np.vstack([rows, np.full((1, k), 0xFFFFFFFF)])))
+    for k, (rows, _) in enumerate(levels[1:], start=1):
+        keys.append(_as_keys(rows))
         # subsets by size, then lexicographic: column i's complement is full - i
         by_size = [list(itertools.combinations(range(k), j)) for j in range(k + 1)]
         subsets, full = sum(by_size, []), (1 << k) - 1
@@ -223,12 +218,11 @@ def generate_rules(
         per_block = max(1, BLOCK_BYTES // (8 << k))
         for first in range(starts[k], starts[k + 1], per_block):
             block = rows[first - starts[k] :][:per_block].astype(">u4")  # as _as_keys
-            found = [np.zeros((len(block), 1), np.intp)]  # indices into every
+            found = [np.zeros((len(block), 1), np.intp)]  # into every, -1 if missing
             for j in range(1, k):
                 wanted = _as_keys(block[:, by_size[j]].reshape(-1, j))
-                at = np.searchsorted(keys[j], wanted)
-                at = np.where(keys[j][at] == wanted, at + starts[j], len(every))
-                found.append(at.reshape(len(block), -1))
+                at = _find(keys[j], wanted).reshape(len(block), -1)
+                found.append(np.add(at, starts[j], out=at, where=at >= 0))  # -1 stays
             found = np.hstack([*found, np.arange(first, first + len(block))[:, None]])
             lhs = counts[found]
             joint = lhs[:, full:]
@@ -236,7 +230,7 @@ def generate_rules(
                 row, column = divmod(int((lhs < joint).argmax()), full + 1)
                 items = every[first + row].items
                 subset = tuple(items[p] for p in subsets[column])
-                if found[row, column] == len(every):
+                if found[row, column] < 0:
                     raise FrequentSetError(
                         f"frequent sets are not downward closed: missing subset "
                         f"{subset} of itemset {items}"

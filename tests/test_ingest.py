@@ -304,6 +304,41 @@ def test_schema_file_full(tmp_path):
     assert schema.missing_markers == frozenset({"-", "none"})
 
 
+@pytest.mark.parametrize(
+    "fields, match",
+    [
+        # one string was taken as a set of one-letter markers, {"N", "A"}
+        ({"missing_markers": "NA"}, "'missing_markers' must be a list of strings"),
+        # a marker that is no str crashed the numpy path with AttributeError
+        ({"missing_markers": ["NA", 5]}, "'missing_markers' must be a list of strings"),
+        ({"missing_markers": None}, "'missing_markers' must be a list of strings"),
+        # an entry that is no pair raised a bare ValueError or TypeError
+        ({"columns": (("a", "a", "b"),)}, r"\[source, label\] pair, got \('a', 'a', 'b'\)"),
+        ({"columns": ("ab",)}, r"\[source, label\] pair, got 'ab'"),
+        ({"columns": (("a", "a"), 5)}, r"\[source, label\] pair, got 5"),
+        ({"columns": 5}, "'columns' must be a list of pairs"),
+    ],
+)
+def test_schema_config_checks_its_own_fields(fields, match):
+    with pytest.raises(SchemaError, match=match):
+        SchemaConfig(**{"name": "t", "columns": (("a", "a"),), **fields})
+
+
+def test_schema_config_keeps_lists_as_tuples():
+    schema = SchemaConfig(name="t", columns=[["a", "x"]], missing_markers=["-", "?"])
+    assert schema.columns == (("a", "x"),)
+    assert schema.missing_markers == frozenset({"-", "?"})
+    assert schema == SchemaConfig(name="t", columns=(("a", "x"),), missing_markers={"-", "?"})
+
+
+def test_schema_file_errors_name_the_file(tmp_path):
+    path = tmp_path / "schema.json"
+    path.write_text('{"columns": [["a", "x"], ["a", "y"]]}', encoding="utf-8")
+    with pytest.raises(SchemaError) as raised:
+        load_schema_file(path)
+    assert str(raised.value) == f"{path}: schema 'schema' repeats a source header"
+
+
 def test_schema_file_errors(tmp_path):
     bad_json = tmp_path / "bad.json"
     bad_json.write_text("{not json", encoding="utf-8")

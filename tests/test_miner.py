@@ -14,6 +14,8 @@ from hypothesis import example, given, settings, strategies as st
 import helpers
 from rulemine import (
     ConfigError,
+    FrequentSetError,
+    FrequentSets,
     Itemset,
     MiningConfig,
     RuleConfig,
@@ -238,6 +240,37 @@ def test_count_candidates_matrix_input_checks(uniform_ab_db):
     assert counted[1:] == [Itemset((1,), 4), Itemset((0,), 4)]
     empty = count_candidates(uniform_ab_db, np.empty((0, 2), np.intp))
     assert not empty and len(empty) == 0 and list(empty) == []
+
+
+@pytest.mark.parametrize("bad", [1.5, True, 2**70])
+def test_itemset_adapters_apply_the_id_rule(uniform_ab_db, bad):
+    # a float or bool id used to stand for item 1, and 2**70 to raise a
+    # bare OverflowError; the matrix forms never see such an id
+    with pytest.raises(UnknownItemError, match=r"must lie in \[0, 2\)"):
+        count_candidates(uniform_ab_db, [Itemset((bad,))])
+    with pytest.raises(UnknownItemError):
+        count_candidates(uniform_ab_db, [Itemset((0,)), Itemset((0, bad))])
+    with pytest.raises(ConfigError, match="of one size and int ids"):
+        candidate_gen([Itemset((0,)), Itemset((bad,))])
+    assert count_candidates(uniform_ab_db, [Itemset((1,))]) == [Itemset((1,), 4)]
+    assert candidate_gen([Itemset((0,)), Itemset((1,))]) == [Itemset((0, 1))]
+
+
+def test_rows_of_mined_sets_are_their_levels():
+    rng = random.Random(5)
+    for _ in range(20):
+        db = helpers.random_database(rng, max_items=9, max_tx=40)
+        frequent = mine_frequent(db, MiningConfig(0.2))
+        assert frequent.rows(0)[0].shape == (0, 0)
+        for k, level in enumerate(frequent.levels[1:], start=1):
+            ids, counts = frequent.rows(k)
+            assert ids.dtype == np.intp and ids.shape == (len(level), k)
+            assert ids.tolist() == [list(itemset.items) for itemset in level]
+            assert counts == [itemset.count for itemset in level]
+            if len(level) > 1:  # the same level out of order is refused
+                levels = (*frequent.levels[:k], level[::-1], *frequent.levels[k + 1 :])
+                with pytest.raises(FrequentSetError, match=f"^level {k} is not sorted"):
+                    FrequentSets(levels, frequent.total).rows(k)
 
 
 def test_count_candidates_matrix_matches_itemset_path():

@@ -769,6 +769,73 @@ def test_rules_name_the_first_fault(monkeypatch, block_bytes, frequent, config, 
         generate_rules(frequent, config)
 
 
+def _level(k):
+    return rf"^level {k} is not sorted {k}-itemsets of increasing ids in \[0, 2\*\*32\)$"
+
+
+@pytest.mark.parametrize(
+    "frequent, match",
+    [
+        # each comment says what the set gives when no check of its levels
+        # runs before the subset lookups: rules {0} => {0} and {} => {0, 0}
+        (_frequent(4, [((0,), 4)], [((0, 0), 4)]), _level(2)),
+        # rules {0} => {1} and {1} => {0}, and the itemset (1, 0)
+        (_frequent(4, [((0,), 4), ((1,), 4)], [((1, 0), 4)]), _level(2)),
+        # an unsorted level: the present subset (0,) was reported missing
+        (_frequent(4, [((1,), 4), ((0,), 4)], [((0, 1), 4)]), _level(1)),
+        # a repeated row: the rule {} => {0} twice
+        (_frequent(4, [((0,), 4), ((0,), 4)]), _level(1)),
+        # a 2-itemset in level 1: numpy's ValueError from a reshape
+        (_frequent(4, [((0, 1), 4)]), _level(1)),
+        # ids -1 and 2**32: refused by a bound of [0, 2**32 - 1)
+        (_frequent(4, [((-1,), 4)]), _level(1)),
+        (_frequent(4, [((2**32,), 4)]), _level(1)),
+        # an id past int64: a bare OverflowError
+        (_frequent(4, [((2**70,), 4)]), _level(1)),
+        # a float id: the rule {} => {1.5}
+        (_frequent(4, [((1.5,), 4)]), _level(1)),
+        # a bool id: the rule {} => {True}
+        (_frequent(4, [((True,), 4)]), _level(1)),
+        # a bool total: the rule {} => {0} of total True
+        (_frequent(True, [((0,), 1)]), r"^total must be a positive int, got True$"),
+    ],
+    ids=["id-twice", "ids-unsorted", "level-unsorted", "row-repeated", "row-too-long",
+         "id-negative", "id-2**32", "id-2**70", "id-float", "id-bool", "total-bool"],  # fmt: skip
+)
+def test_malformed_levels_are_refused_before_any_lookup(frequent, match):
+    with pytest.raises(FrequentSetError, match=match):
+        generate_rules(frequent, RuleConfig(0.5))
+    with pytest.raises(FrequentSetError, match=match):
+        frequent.counts()
+
+
+def test_a_shape_fault_in_a_later_level_comes_before_a_missing_subset():
+    # (1,) is missing for (0, 1), but level 3 holds a 2-itemset
+    frequent = _frequent(4, [((0,), 4)], [((0, 1), 4)], [((0, 1), 4)])
+    with pytest.raises(FrequentSetError, match=r"^level 3 is not sorted"):
+        generate_rules(frequent, RuleConfig(0.5))
+
+
+def test_levels_that_keep_the_contract_are_accepted():
+    pairs = [((0,), 4), ((1,), 3)], [((0, 1), 3)]
+    expected = generate_rules(_frequent(4, *pairs), RuleConfig(0.5))
+    assert expected
+    # an empty trailing level changes nothing
+    trailing = _frequent(4, *pairs, [])
+    assert generate_rules(trailing, RuleConfig(0.5)) == expected
+    assert trailing.counts() == {(): 4, (0,): 4, (1,): 3, (0, 1): 3}
+    # the largest id, 2**32 - 1, gives the rules of the set with it relabelled
+    top = 2**32 - 1
+    relabelled = _frequent(4, [((0,), 4), ((top,), 3)], [((0, top), 3)])
+    rules = generate_rules(relabelled, RuleConfig(0.5))
+
+    def back(side):
+        return side._replace(items=tuple(1 if i == top else i for i in side.items))
+
+    assert [r._replace(lhs=back(r.lhs), rhs=back(r.rhs)) for r in rules] == expected
+    assert relabelled.counts() == {(): 4, (0,): 4, (top,): 3, (0, top): 3}
+
+
 def _dense_frequent():
     """Long frequent itemsets: 8 columns that each copy a latent value on
     {0,1,2} with probability 0.8, over 400 rows."""
