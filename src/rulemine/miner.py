@@ -126,11 +126,8 @@ class FrequentSets:
     def max_size(self) -> int:
         return len(self.levels) - 1
 
-    def rows(self, k: int) -> tuple[np.ndarray, list[int]]:
-        """Level k as its (n, k) intp id matrix and its n counts. FrequentSetError
-        names the total unless it is an int >= 1, the itemset of a count no int
-        in [0, total] (walked only if a one-pass test fails), and the level
-        unless its rows are sorted k-itemsets of increasing ids in [0, 2**32)."""
+    def _counts(self, k: int) -> list[int]:
+        """Level k's counts, for rows(k) and write_itemsets to check alike."""
         total, level = self.total, self.levels[k]
         if not isinstance(total, int) or isinstance(total, bool) or total <= 0:
             raise FrequentSetError(f"total must be a positive int, got {total!r}")
@@ -145,7 +142,14 @@ class FrequentSets:
                     raise FrequentSetError(f"{about} not an int")
                 if not 0 <= count <= total:
                     raise FrequentSetError(f"{about} outside [0, total={total}]")
-        ids = _id_matrix([itemset.items for itemset in level], k)
+        return counts
+
+    def rows(self, k: int) -> tuple[np.ndarray, list[int]]:
+        """Level k as its (n, k) intp id matrix and its n counts. FrequentSetError
+        names the total unless it is an int >= 1, the itemset of a count no int
+        in [0, total] (walked only if a one-pass test fails), and the level
+        unless its rows are sorted k-itemsets of increasing ids in [0, 2**32)."""
+        counts, ids = self._counts(k), _id_matrix([s.items for s in self.levels[k]], k)
         if ids is not None and len(ids) and k:
             step = ids[1:] - ids[:-1]  # a row's first change from the row before grows
             lead = step[np.arange(len(step)), (step != 0).argmax(axis=1)]
@@ -416,14 +420,17 @@ def mine_frequent(
 def write_itemsets(
     frequent: FrequentSets, catalog: ItemCatalog, path: str | os.PathLike
 ) -> None:
-    """One line per frequent itemset: rendered items (space separated),
-    count, support at full precision. Level order, lexicographic within.
-    Each catalog entry, and each distinct count's support, is rendered
-    once; every id is checked against the catalog."""
+    """One line per frequent itemset: rendered items (space separated), count,
+    support at full precision; level order, lexicographic within. Every line is
+    rendered before the file is opened, counts checked as by rows(k) and ids by
+    the catalog; each catalog entry and distinct count's support only once."""
     names = [catalog.render(item_id) for item_id in range(len(catalog))]
     check, total, seen = catalog.check, frequent.total, {}
+    lines = [
+        f"{' '.join([names[check(i)] for i in items])},{count},"
+        f"{seen.get(count) or seen.setdefault(count, repr(count / total))}\n"
+        for k, level in enumerate(frequent.levels[1:], 1)
+        for (items, _), count in zip(level, frequent._counts(k))
+    ]
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        for items, count in frequent:
-            rendered = " ".join([names[check(i)] for i in items])
-            support = seen.get(count) or seen.setdefault(count, repr(count / total))
-            handle.write(f"{rendered},{count},{support}\n")
+        handle.writelines(lines)

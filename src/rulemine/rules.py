@@ -360,19 +360,25 @@ def write_rules_json(
     mining: dict | None = None,
     rule_config: dict | None = None,
 ) -> None:
-    """Full-fidelity export: exact counts, full-precision metrics, and
-    the catalog itself, so the file stands alone for prediction.
-
-    The bytes are those of json.dump(document, indent=2, allow_nan=False)
-    plus a newline, where document holds the header keys and then
-    "rules". The header goes through json.dumps; each rule is streamed
-    from one template (ids and counts as ints, metrics as float repr,
-    infinite conviction as "inf"), because json's indenting encoder is
-    its pure-Python one. A NaN metric, or an infinite one other than
-    conviction, raises ValueError as json would. Each side's id list is
-    rendered once.
-    """
+    """Full-fidelity export: exact counts, full-precision metrics, and the
+    catalog, so the file stands alone for prediction. The bytes are those of
+    json.dump(document, indent=2, allow_nan=False) plus a newline, document
+    holding the header keys, then "rules". Before the file is opened, every
+    count and metric passes _are_counts or _are_metrics, read_rules_json's
+    rules (else ValueError names the rule; rules.csv renders any float), and
+    every side's ids are rendered once, checked by the catalog. The rules are
+    streamed from one template: json's indenting encoder is pure Python."""
+    lhs, rhs, count, *metrics = list(zip(*rules)) or [()] * len(AssociationRule._fields)
+    counts = [[side.count for side in lhs], [side.count for side in rhs], count]
+    for key, column in zip(("lhs_count", "rhs_count", "count", *Metrics._fields),
+                           counts + metrics):  # fmt: skip
+        ok, problem = (_are_counts, "a non-negative int") if "count" in key else (
+            partial(_are_metrics, inf=key == "conviction"), "JSON compliant")
+        for index, value in enumerate(() if ok(column) else column):  # walk if it fails
+            if not ok([value]):
+                raise ValueError(f"rule {index}: {key} {value!r} is not {problem}")
     ids = _once_per_side(partial(_json_ids, catalog=catalog))
+    sides = [list(map(ids, map(operator.attrgetter("items"), s))) for s in (lhs, rhs)]
     header = json.dumps(
         {
             "total": total,
@@ -385,41 +391,28 @@ def write_rules_json(
         indent=2,
         allow_nan=False,
     )
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        if not rules:
-            handle.write(header + "\n")
-            return
-        handle.write(header[: -len("[]\n}")] + "[\n")
-        separator = ""
-        for rule in rules:
-            floats = (
-                rule.support, rule.confidence, rule.coverage, rule.lift, rule.leverage
-            )  # fmt: skip
-            if not all(map(math.isfinite, floats)) or math.isnan(rule.conviction):
-                raise ValueError("Out of range float values are not JSON compliant")
-            support, confidence, coverage, lift, leverage = map(float.__repr__, floats)
-            conviction = (
-                '"inf"'
-                if math.isinf(rule.conviction)
-                else float.__repr__(rule.conviction)
-            )
-            handle.write(
-                f"""{separator}    {{
-      "lhs": {ids(rule.lhs.items)},
-      "rhs": {ids(rule.rhs.items)},
-      "lhs_count": {rule.lhs.count},
-      "rhs_count": {rule.rhs.count},
-      "count": {rule.count},
-      "support": {support},
-      "confidence": {confidence},
-      "coverage": {coverage},
-      "lift": {lift},
-      "conviction": {conviction},
-      "leverage": {leverage}
+    text, seps = float.__repr__, itertools.chain([""], itertools.repeat(",\n"))
+    objects = (
+        f"""{sep}    {{
+      "lhs": {lhs_ids},
+      "rhs": {rhs_ids},
+      "lhs_count": {lhs_count},
+      "rhs_count": {rhs_count},
+      "count": {joint},
+      "support": {text(support)},
+      "confidence": {text(confidence)},
+      "coverage": {text(coverage)},
+      "lift": {text(lift)},
+      "conviction": {'"inf"' if conviction == math.inf else text(conviction)},
+      "leverage": {text(leverage)}
     }}"""
-            )
-            separator = ",\n"
-        handle.write("\n  ]\n}\n")
+        for sep, lhs_ids, rhs_ids, lhs_count, rhs_count, joint, support, confidence,
+        coverage, lift, conviction, leverage in zip(seps, *sides, *counts, *metrics)
+    )  # fmt: skip
+    with open(path, "w", encoding="utf-8", newline="\n") as handle:
+        handle.write(header[: -len("]\n}")] + ("\n" if lhs else ""))  # up to "rules": [
+        handle.writelines(objects)
+        handle.write(("\n  ]" if lhs else "]") + "\n}\n")
 
 
 def _rule_from_json(rule: dict) -> AssociationRule:
@@ -505,6 +498,18 @@ def _is_metric(name: str, value: object) -> bool:
     return name == "conviction" if value == "inf" else math.isfinite(float(value))
 
 
+def _are_counts(values: Sequence[object]) -> bool:
+    """rules.json's count rule, for its writer and reader: ints, not bools, >= 0."""
+    return {*map(type, values)} <= {int} and min(values, default=0) >= 0
+
+
+def _are_metrics(values: Sequence[object], inf: bool = False) -> bool:
+    """rules.json's metric rule, for its writer and reader: floats, each finite
+    or, if inf, +inf. A sum that overflows gives False too: then test each."""
+    top = math.inf if inf else math.nextafter(math.inf, 0)
+    return {*map(type, values)} <= {float} and -math.inf < sum(values) <= top
+
+
 def _check_rules(path: str | os.PathLike, rules: object, catalog_size: int) -> None:
     """Check every rule object of a rules document, one key at a time
     across all rules. Each test runs over all of a key's values at once;
@@ -557,16 +562,14 @@ def _check_rules(path: str | os.PathLike, rules: object, catalog_size: int) -> N
                 )
     for key in ("lhs_count", "rhs_count", "count"):
         column = values(key)
-        if not set(map(type, column)) <= {int} or min(column, default=0) < 0:
-            reject(column, lambda count: type(count) is int and count >= 0,
+        if not _are_counts(column):
+            reject(column, lambda count: _are_counts([count]),
                    f"{key} must be a non-negative integer")  # fmt: skip
     for key in Metrics._fields:
-        column = numbers = values(key)
+        column = values(key)
         inf = ("inf",) if key == "conviction" else ()  # written for an infinite one
-        if inf and "inf" in column:
-            numbers = list(filter(partial(operator.ne, "inf"), column))
-        # one C-level pass per test; an overflowing sum only means "look closer"
-        if set(map(type, numbers)) <= {float} and math.isfinite(sum(numbers)):
+        numbers = list(filter(partial(operator.ne, "inf"), column)) if inf else column
+        if _are_metrics(numbers):  # the string "inf" is the reader's +inf
             continue
         alternative = ' or "inf"' if inf else ""
         reject(column, lambda value: value in inf or _is_number(value),

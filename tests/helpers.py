@@ -6,7 +6,12 @@ import random
 
 import numpy as np
 
-from rulemine import TransactionDatabase, build_database, build_database_from_columns
+from rulemine import (
+    CICY6_SCHEMA,
+    TransactionDatabase,
+    build_database,
+    build_database_from_columns,
+)
 
 REFERENCE_TOTAL = 12433
 REFERENCE_MIN_COUNT = 1244  # frequency threshold at min_support 0.10
@@ -44,6 +49,47 @@ def cicy5_reference_columns() -> dict[str, np.ndarray]:
 
 def cicy5_reference_db() -> TransactionDatabase:
     return build_database_from_columns(cicy5_reference_columns())
+
+
+# A table shaped after the CICY 6-fold data. Only two facts come from
+# PAPER.md: 1,482,022 rows of the nine Hodge numbers the cicy6 preset reads,
+# and h12, h13, h14 and h23 being 0 in every row. The rest is assumed, not
+# the paper's data: PAPER.md says the 6-fold Hodge numbers remain largely
+# undetermined without giving a share, so the 47% of rows with missing cells
+# is borrowed from the 5-fold table (about 53% known); which columns go
+# missing (h15, h22, h24 and h33 together, h11 always known) is made up; and
+# the five varying columns are uniform, not the real distribution.
+CICY6_ROWS = 1_482_022
+CICY6_CONSTANT = ("h12", "h13", "h14", "h23")
+CICY6_SOMETIMES_MISSING = ("h15", "h22", "h24", "h33")
+
+
+def write_cicy6_shaped_csv(
+    path, rows: int, seed: int, values: int = 3, missing: float = 0.47
+) -> int:
+    """Write a seeded CSV of the assumed CICY 6-fold shape above and return
+    the number of rows with missing cells. The columns outside CICY6_CONSTANT
+    are uniform on 0..values-1; a share `missing` of the rows, the first
+    row among them when missing > 0, holds NA in CICY6_SOMETIMES_MISSING.
+    Rows are drawn in blocks, so a paper-sized table never sits in memory
+    as Python strings."""
+    rng = np.random.default_rng(seed)
+    headers = [source for source, _ in CICY6_SCHEMA.columns]
+    constant = [headers.index(h) for h in CICY6_CONSTANT]
+    gaps = [headers.index(h) for h in CICY6_SOMETIMES_MISSING]
+    texts = np.array([*map(str, range(values)), "NA"])  # cell code values is NA
+    incomplete = 0
+    with open(path, "w", encoding="ascii", newline="\n") as handle:
+        handle.write(",".join(headers) + "\n")
+        for start in range(0, rows, 1 << 16):
+            cells = rng.integers(0, values, (min(1 << 16, rows - start), len(headers)))
+            cells[:, constant] = 0
+            lacking = rng.random(len(cells)) < missing
+            lacking[0] |= start == 0 and missing > 0
+            cells[np.ix_(lacking, gaps)] = values
+            incomplete += int(lacking.sum())
+            handle.writelines(",".join(row) + "\n" for row in texts[cells].tolist())
+    return incomplete
 
 
 def random_database(

@@ -708,7 +708,13 @@ def test_queries_match_the_full_rule_list(tmp_path_factory, export, data):
 
 @pytest.mark.parametrize(
     "field, value",
-    [("support", math.nan), ("lift", math.inf), ("leverage", -math.inf), ("conviction", math.nan)],
+    [
+        ("support", math.nan),
+        ("lift", math.inf),
+        ("leverage", -math.inf),
+        ("conviction", math.nan),
+        ("conviction", -math.inf),
+    ],
 )
 def test_write_rules_json_rejects_non_finite_metrics(tmp_path, field, value):
     catalog = ItemCatalog((("a", 1), ("b", 1)))
@@ -716,6 +722,143 @@ def test_write_rules_json_rejects_non_finite_metrics(tmp_path, field, value):
     rule = AssociationRule(Itemset((0,), 3), Itemset((1,), 3), 3, *metrics)
     with pytest.raises(ValueError, match="not JSON compliant"):
         write_rules_json([rule], catalog, 4, tmp_path / "rules.json")
+
+
+def _with_count(rule, key, value):
+    """rule with its lhs_count, rhs_count or count replaced by value."""
+    if key == "count":
+        return rule._replace(count=value)
+    name = key.removesuffix("_count")
+    return rule._replace(**{name: getattr(rule, name)._replace(count=value)})
+
+
+_BAD_RULE_VALUES = [
+    *(
+        pytest.param(key, value, "non-negative int", id=f"{key}-{value!r}")
+        for key in ("lhs_count", "rhs_count", "count")
+        for value in (True, -1, 3.0, np.int64(3))
+    ),
+    pytest.param("support", True, "not JSON compliant", id="bool-metric"),
+    pytest.param("lift", 3, "not JSON compliant", id="int-metric"),
+    pytest.param("confidence", math.nan, "not JSON compliant", id="nan-metric"),
+]
+
+
+@pytest.mark.parametrize("key, value, problem", _BAD_RULE_VALUES)
+def test_write_rules_json_refuses_before_opening_the_file(tmp_path, key, value, problem):
+    # the fault is in the last of three rules: nothing may be written before
+    # it is found, so an earlier file at the path keeps its bytes
+    catalog = ItemCatalog((("a", 1), ("b", 1)))
+    rules = [_rule((0,), (1,)), _rule((1,), (0,)), _rule((0,), (1,))]
+    if key in Metrics._fields:
+        rules[2] = rules[2]._replace(**{key: value})
+    else:
+        rules[2] = _with_count(rules[2], key, value)
+    path = tmp_path / "rules.json"
+    path.write_bytes(b"earlier")
+    with pytest.raises(ValueError, match=f"^rule 2: {key} .*{problem}"):
+        write_rules_json(rules, catalog, 4, path)
+    assert path.read_bytes() == b"earlier"
+
+
+def test_write_rules_json_checks_ids_before_opening_the_file(tmp_path):
+    catalog = ItemCatalog((("a", 1), ("b", 1)))
+    rules = [_rule((0,), (1,)), _rule((1,), (0,)), _rule((0,), (2,))]
+    path = tmp_path / "rules.json"
+    path.write_bytes(b"earlier")
+    with pytest.raises(UnknownItemError, match="unknown item id 2"):
+        write_rules_json(rules, catalog, 4, path)
+    assert path.read_bytes() == b"earlier"
+
+
+def test_write_rules_json_keeps_metrics_whose_sum_overflows(tmp_path):
+    # each column is tested by its sum first; an overflowing sum of finite
+    # metrics must be looked at value by value, not refused
+    catalog = ItemCatalog((("a", 1), ("b", 1)))
+    rules = [_rule((0,), (1,))._replace(lift=1e308, leverage=-1e308)] * 2
+    path = tmp_path / "rules.json"
+    write_rules_json(rules, catalog, 4, path)
+    assert read_rules_json(path).rules == tuple(rules)
+
+
+_BAD_COUNTS = st.sampled_from([True, False, -1, 3.0, np.int64(3), None])
+_BAD_METRICS = st.sampled_from([True, 1, math.nan, math.inf, -math.inf, np.float64(0.5)])
+
+
+@settings(max_examples=200, deadline=None)
+@given(export=_rule_exports(), data=st.data())
+def test_write_rules_json_writes_only_what_reads_back(tmp_path_factory, export, data):
+    # values the reader refuses, or json cannot hold, mixed into drawn rules:
+    # the writer raises and leaves no file, or the file reads back as the rules
+    rules, catalog, total, keywords = export
+    for _ in range(data.draw(st.integers(0, 3)) if rules else 0):
+        index = data.draw(st.integers(0, len(rules) - 1))
+        key = data.draw(st.sampled_from(["lhs_count", "rhs_count", "count", *Metrics._fields]))
+        if key in Metrics._fields:
+            rules[index] = rules[index]._replace(**{key: data.draw(_BAD_METRICS)})
+        else:
+            rules[index] = _with_count(rules[index], key, data.draw(_BAD_COUNTS))
+    path = tmp_path_factory.mktemp("json") / "rules.json"
+    try:
+        write_rules_json(rules, catalog, total, path, **keywords)
+    except ValueError:
+        assert not path.exists()
+        return
+    assert read_rules_json(path).rules == tuple(rules)
+
+
+@pytest.mark.parametrize(
+    "total, count",
+    [(4, None), (4, True), (4, -1), (4, 2.5), (0, 3), (True, 1)],
+)
+def test_write_itemsets_refuses_counts_before_opening_the_file(tmp_path, total, count):
+    # the counts rows(k) refuses; an earlier file at the path keeps its bytes
+    catalog = ItemCatalog((("a", 1), ("b", 1)))
+    frequent = FrequentSets(((), (Itemset((0,), 1), Itemset((1,), count))), total)
+    path = tmp_path / "itemsets.csv"
+    path.write_bytes(b"earlier")
+    with pytest.raises(FrequentSetError):
+        write_itemsets(frequent, catalog, path)
+    with pytest.raises(FrequentSetError):
+        frequent.rows(1)
+    assert path.read_bytes() == b"earlier"
+
+
+def test_write_itemsets_checks_ids_before_opening_the_file(tmp_path):
+    # an id outside the catalog in the last itemset: the two lines before it
+    # are rendered but never written
+    catalog = ItemCatalog((("a", 1), ("b", 1)))
+    frequent = FrequentSets(((), (Itemset((0,), 3), Itemset((1,), 3), Itemset((5,), 3))), 4)
+    path = tmp_path / "itemsets.csv"
+    path.write_bytes(b"earlier")
+    with pytest.raises(UnknownItemError, match="unknown item id 5"):
+        write_itemsets(frequent, catalog, path)
+    assert path.read_bytes() == b"earlier"
+
+
+def test_rules_past_2_62_rows_are_those_of_the_scaled_down_set():
+    # generate_rules keeps counts as Python ints from a total of 2**62 on;
+    # every count times 2**60 gives the same splits and the same metrics,
+    # since each metric is one correctly rounded ratio of the counts
+    small = _frequent(
+        4,
+        [((0,), 3), ((1,), 2), ((2,), 4)],
+        [((0, 1), 2), ((0, 2), 3), ((1, 2), 2)],
+        [((0, 1, 2), 2)],
+    )
+    scale = 1 << 60
+    large = FrequentSets(
+        tuple(tuple(Itemset(s.items, s.count * scale) for s in level) for level in small.levels),
+        small.total * scale,
+    )
+    assert large.total == 2**62
+    config = RuleConfig(0.75)
+    expected, rules = generate_rules(small, config), generate_rules(large, config)
+    assert len(expected) >= 5
+    assert [(r.lhs.items, r.rhs.items, r.count) for r in rules] == [
+        (r.lhs.items, r.rhs.items, r.count * scale) for r in expected
+    ]
+    assert [r[3:] for r in rules] == [r[3:] for r in expected]
 
 
 def _frequent(total, *levels):
