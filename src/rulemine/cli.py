@@ -369,8 +369,6 @@ def cmd_predict(args: argparse.Namespace) -> int:
         known_ids,
     )
     predictions = predict(known_ids, rules, target, catalog)
-    if args.top is not None:
-        predictions = predictions[: args.top]
     payload = {
         "target": target,
         "known": [catalog.render(i) for i in known_ids],
@@ -382,7 +380,7 @@ def cmd_predict(args: argparse.Namespace) -> int:
                 "support": p.support,
                 "rule": render_rule(p.rule, catalog),
             }
-            for p in predictions
+            for p in predictions[: args.top]  # all of them when --top is None
         ],
     }
     json.dump(payload, sys.stdout, indent=2)

@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import random
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from rulemine import (
     CICY6_SCHEMA,
+    ItemId,
     TransactionDatabase,
     build_database,
     build_database_from_columns,
@@ -113,3 +115,35 @@ def horizontal_count(db: TransactionDatabase, itemset) -> int:
     """Independent count by scanning the horizontal rows."""
     wanted = frozenset(itemset)
     return sum(1 for t in db.transactions if wanted <= frozenset(t.items))
+
+
+def join_prefix(
+    keys: Sequence[tuple[ItemId, ...]],
+) -> Iterator[tuple[ItemId, ...]]:
+    """The Apriori join and prune over sorted k-tuples of one size k.
+
+    Yields, in lexicographic order, every (k+1)-tuple made by joining two
+    keys that share their first k-1 items whose k-subsets are all keys.
+    The keys are grouped into tails by prefix. Dropping one of the last
+    two items of prefix + (first, last) gives a key of the group, and
+    dropping prefix item m gives a key iff last is a tail of (prefix
+    without item m) + (first,); so the allowed last items are the later
+    tails of the group intersected with those tail sets. With k = 1 the
+    prefix is empty and every pair is allowed.
+    """
+    tails: dict[tuple[ItemId, ...], list[ItemId]] = {}
+    for key in keys:
+        tails.setdefault(key[:-1], []).append(key[-1])
+    tail_sets = {prefix: frozenset(group) for prefix, group in tails.items()}
+    for prefix, group in tails.items():
+        drops = [prefix[:m] + prefix[m + 1 :] for m in range(len(prefix))]
+        for i, first in enumerate(group):
+            later = group[i + 1 :]
+            if drops:
+                allowed = set(later).intersection(
+                    *(tail_sets.get(drop + (first,), ()) for drop in drops)
+                )
+                later = [last for last in later if last in allowed]
+            base = prefix + (first,)
+            for last in later:
+                yield base + (last,)

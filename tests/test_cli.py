@@ -1117,6 +1117,20 @@ def test_predict_no_match_is_empty_success(tmp_path, capsys):
     assert "no rule matches" in captured.err
 
 
+def test_predict_top_zero_with_a_matching_rule_is_quiet(uniform_csv, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert _mine(uniform_csv, out, "--format", "json") == 0
+    capsys.readouterr()
+    argv = ["predict", "--input", str(out / "rules.json"), "--target", "b"]
+    argv += ["--known", "a=1"]
+    assert cli.main(argv) == 0
+    assert json.loads(capsys.readouterr().out)["predictions"]  # {a=1} => {b=1}
+    assert cli.main(argv + ["--top", "0"]) == 0
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["predictions"] == []
+    assert captured.err == ""
+
+
 @pytest.mark.parametrize("token", ["a=1_0", "a=\uff11", "a= 1"])
 def test_predict_known_takes_only_sign_then_ascii_digits(tmp_path, capsys, token):
     table = tmp_path / "table.csv"

@@ -31,7 +31,7 @@ from rulemine import (
     write_itemsets,
 )
 from rulemine import miner
-from rulemine.miner import join_prefix
+from helpers import join_prefix
 
 
 def test_min_count_is_at_least_one():
