@@ -301,7 +301,7 @@ def _args_from_manifest(args: argparse.Namespace) -> argparse.Namespace:
     recorded flag raises IngestError naming it."""
     path = args.manifest
     try:
-        with open(path, "r", encoding="utf-8") as handle, utf8_input(path):
+        with open(path, "r", encoding="utf-8-sig") as handle, utf8_input(path):
             # manifests from before the flag was recorded replay as True
             recorded = {"include_empty_lhs": True, **json.load(handle)}
         replay = argparse.Namespace(**vars(args))
@@ -353,15 +353,20 @@ def cmd_predict(args: argparse.Namespace) -> int:
     document = read_rules_json(args.input)
     catalog = document.catalog
 
-    known_ids = [catalog.parse(token) for token in args.known]
-
-    target = args.target
-    if target not in catalog.columns:
+    def label(column: str) -> str:
         # accept a source header (e.g. h11) for a mapped label (item1)
-        for label, source in document.column_sources.items():
-            if source == target:
-                target = label
-                break
+        if column not in catalog.columns:
+            for name, source in document.column_sources.items():
+                if source == column:
+                    return name
+        return column
+
+    # a known token's column is looked up as the target is: "h13=0" is "item3=0"
+    known_ids = [
+        catalog.parse(label(column) + eq + value)
+        for column, eq, value in (token.rpartition("=") for token in args.known)
+    ]
+    target = label(args.target)
 
     # predict reads only the rules that can vote; the rest stay unbuilt
     rules = document.rules.with_single_rhs_in(

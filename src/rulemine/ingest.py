@@ -146,7 +146,7 @@ SCHEMA_PRESETS = {"cicy5": CICY5_SCHEMA, "cicy6": CICY6_SCHEMA}
 def load_schema_file(path: str | os.PathLike) -> SchemaConfig:
     """Read a JSON schema document; content errors raise SchemaError
     prefixed with the path."""
-    with open(path, "r", encoding="utf-8") as handle, utf8_input(path):
+    with open(path, "r", encoding="utf-8-sig") as handle, utf8_input(path):
         try:
             document = json.load(handle)
         except (json.JSONDecodeError, RecursionError) as exc:  # or nested too deep
@@ -384,7 +384,7 @@ def load_transactions(path: str | os.PathLike) -> TransactionDatabase:
     reappear in their original first-appearance order.
     """
     try:
-        handle = open(path, "r", encoding="utf-8")
+        handle = open(path, "r", encoding="utf-8-sig")
     except OSError as exc:
         raise IngestError(f"cannot read {path}: {exc}") from None
     with handle, utf8_input(path):

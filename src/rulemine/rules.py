@@ -28,7 +28,7 @@ import operator
 import os
 import reprlib
 from dataclasses import dataclass, replace
-from functools import partial, reduce
+from functools import partial
 from types import SimpleNamespace
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
@@ -271,28 +271,22 @@ def _fmt(value: float, precision: int) -> str:
     return f"{value:.{precision}f}"  # math.inf renders as the token "inf"
 
 
-def _once_per_side(
-    render: Callable[[Sequence[ItemId]], str],
-) -> Callable[[Sequence[ItemId]], str]:
-    """render, run once per side object: rules from generate_rules share
-    their mined Itemsets. Each entry holds its side, so no id is reused.
-    (Keyed by value, (True,) would reuse the text of (1,) unchecked.)"""
-    rendered: dict[int, tuple[Sequence[ItemId], str]] = {}
-
-    def side(items: Sequence[ItemId]) -> str:
-        if (entry := rendered.get(id(items))) is None:
-            entry = rendered[id(items)] = (items, render(items))
-        return entry[1]
-
-    return side
-
-
 def _fmt_column(values: Sequence[float], precision: int) -> list[str]:
     """_fmt of each value, once per float64 bit pattern (-0.0 and NaN too)."""
     bits = np.array(values, np.float64).view(np.int64)
     distinct, inverse = np.unique(bits, return_inverse=True)
     texts = list(map(f"{{:.{precision}f}}".format, distinct.view(np.float64).tolist()))
     return list(map(texts.__getitem__, inverse.tolist()))
+
+
+def _side_texts(sides: list[Itemset], render: Callable[[Itemset], str]) -> list[str]:
+    """render of each side, called once per side object in order of first
+    appearance: rules from generate_rules share their mined Itemsets. Keyed
+    by id, as (True,) == (1,); sides keeps each object alive, so no id is reused."""
+    keys = list(map(id, sides))
+    distinct = dict(zip(keys, sides))
+    texts = dict(zip(distinct, map(render, distinct.values())))
+    return list(map(texts.__getitem__, keys))
 
 
 def rule_rows(
@@ -304,12 +298,14 @@ def rule_rows(
 ) -> Iterator[list[str]]:
     """Each rule as the cells of a rules table row (CSV_COLUMNS, plus
     conviction and leverage when extended), numbered from 1, built by
-    column: each side is rendered, then passed through cell, once."""
+    column. Each side object is rendered, then passed through cell, once,
+    in rule order (a rule's LHS, then its RHS): an id outside the catalog
+    raises UnknownItemError at the first rule that holds one."""
     lhs, rhs, count, *metrics = list(zip(*rules)) or [()] * len(AssociationRule._fields)
-    side = _once_per_side(lambda items: cell(render_side(items, catalog)))
-    lhs, rhs = (map(side, map(operator.attrgetter("items"), s)) for s in (lhs, rhs))
+    sides = list(itertools.chain.from_iterable(zip(lhs, rhs)))
+    sides = _side_texts(sides, lambda side: cell(render_side(side.items, catalog)))
     texts = [_fmt_column(values, precision) for values in metrics[: 4 + 2 * extended]]
-    numbers = map(str, range(1, len(count) + 1))
+    numbers, lhs, rhs = map(str, range(1, len(count) + 1)), sides[::2], sides[1::2]
     return map(list, zip(numbers, lhs, rhs, *texts[:4], map(str, count), *texts[4:]))
 
 
@@ -342,13 +338,9 @@ class RuleSetDocument:
     rule_config: dict
 
 
-def _json_ids(items: Sequence[ItemId], catalog: ItemCatalog) -> str:
-    """An id list as json.dumps(indent=2) renders it inside a rule; each
-    id must be one of the catalog's."""
-    if not items:
-        return "[]"
-    ids = map(str, map(catalog.check, items))
-    return "[\n        " + ",\n        ".join(ids) + "\n      ]"
+# a rules.json rule's keys, in the order its writer spells and its reader checks them
+_RULE_KEYS = ("lhs", "rhs", "lhs_count", "rhs_count", "count", *Metrics._fields)
+_rule_values = operator.itemgetter(*_RULE_KEYS)
 
 
 def write_rules_json(
@@ -366,19 +358,24 @@ def write_rules_json(
     holding the header keys, then "rules". Before the file is opened, every
     count and metric passes _are_counts or _are_metrics, read_rules_json's
     rules (else ValueError names the rule; rules.csv renders any float), and
-    every side's ids are rendered once, checked by the catalog. The rules are
-    streamed from one template: json's indenting encoder is pure Python."""
+    each side object's ids are rendered once, every LHS before every RHS,
+    checked by the catalog. The rules are streamed from one template: json's
+    indenting encoder is pure Python."""
     lhs, rhs, count, *metrics = list(zip(*rules)) or [()] * len(AssociationRule._fields)
     counts = [[side.count for side in lhs], [side.count for side in rhs], count]
-    for key, column in zip(("lhs_count", "rhs_count", "count", *Metrics._fields),
-                           counts + metrics):  # fmt: skip
+    for key, column in zip(_RULE_KEYS[2:], counts + metrics):
         ok, problem = (_are_counts, "a non-negative int") if "count" in key else (
             partial(_are_metrics, inf=key == "conviction"), "JSON compliant")
         for index, value in enumerate(() if ok(column) else column):  # walk if it fails
             if not ok([value]):
                 raise ValueError(f"rule {index}: {key} {value!r} is not {problem}")
-    ids = _once_per_side(partial(_json_ids, catalog=catalog))
-    sides = [list(map(ids, map(operator.attrgetter("items"), s))) for s in (lhs, rhs)]
+
+    def ids(side: Itemset) -> str:  # as json.dumps(indent=2) lays them out in a rule
+        text = ",\n        ".join(map(str, map(catalog.check, side.items)))
+        return f"[\n        {text}\n      ]" if text else "[]"
+
+    texts = _side_texts([*lhs, *rhs], ids)
+    sides = texts[: len(lhs)], texts[len(lhs) :]
     header = json.dumps(
         {
             "total": total,
@@ -416,20 +413,11 @@ def write_rules_json(
 
 
 def _rule_from_json(rule: dict) -> AssociationRule:
-    """The rule a checked rule object holds. Metrics are converted to
-    float, not re-derived from the counts."""
-    conviction = rule["conviction"]
-    return AssociationRule(
-        Itemset(tuple(rule["lhs"]), rule["lhs_count"]),
-        Itemset(tuple(rule["rhs"]), rule["rhs_count"]),
-        rule["count"],
-        float(rule["support"]),
-        float(rule["confidence"]),
-        float(rule["coverage"]),
-        float(rule["lift"]),
-        math.inf if conviction == "inf" else float(conviction),
-        float(rule["leverage"]),
-    )
+    """The rule a checked rule object holds. Metrics are converted by float,
+    which reads "inf" as math.inf, not re-derived from the counts."""
+    lhs, rhs, lhs_count, rhs_count, count, *metrics = _rule_values(rule)
+    lhs, rhs = Itemset(tuple(lhs), lhs_count), Itemset(tuple(rhs), rhs_count)
+    return AssociationRule(lhs, rhs, count, *map(float, metrics))
 
 
 class StoredRules(Sequence[AssociationRule]):
@@ -510,109 +498,98 @@ def _are_metrics(values: Sequence[object], inf: bool = False) -> bool:
     return {*map(type, values)} <= {float} and -math.inf < sum(values) <= top
 
 
+def _rule_fault(rule: object, catalog_size: int) -> str | None:
+    """One rule object's first fault in _RULE_KEYS order (its item ids once
+    both sides are lists), or None."""
+    if type(rule) is not dict:
+        got = reprlib.repr(rule)
+        return f"malformed rules document: a rule must be a JSON object, got {got}"
+    for key in _RULE_KEYS:
+        if key not in rule:
+            return f"missing key {key!r}"
+        value, alternative = rule[key], ' or "inf"' if key == "conviction" else ""
+        if key in ("lhs", "rhs"):
+            ok, problem = type(value) is list, f"{key} must be a list"
+            problem = f"malformed rules document: {problem}"
+        elif "count" in key:
+            ok, problem = _are_counts([value]), f"{key} must be a non-negative integer"
+        elif value == "inf" and alternative or _is_number(value):
+            ok, problem = _is_metric(key, value), f"{key} must be finite{alternative}"
+        else:
+            ok, problem = False, f"{key} must be a number{alternative}"
+        if not ok:
+            return f"{problem}, got {reprlib.repr(value)}"
+        for item in rule["lhs"] + value if key == "rhs" else ():
+            if type(item) is not int:
+                return f"item id {item!r} is not an integer"
+            if not 0 <= item < catalog_size:
+                return f"item id {item!r} is not in the {catalog_size}-item catalog"
+    return None
+
+
 def _check_rules(path: str | os.PathLike, rules: object, catalog_size: int) -> None:
-    """Check every rule object of a rules document, one key at a time
-    across all rules. Each test runs over all of a key's values at once;
-    only a test that fails walks them again to find the first rule at
-    fault, which raises IngestError "<path>: rule <i>: <problem>"."""
+    """Check every rule object of a rules document. A valid one takes one
+    pass: a test of each key of _RULE_KEYS over all rules' values at once.
+    If a test fails, the rules are walked once, in order, and the first with
+    a fault raises IngestError "<path>: rule <i>: <its first, by _rule_fault>".
+    The walk may find none: int metrics, or a sum that overflows, pass it."""
     if type(rules) is not list:
         raise IngestError(f"{path}: malformed rules document: rules must be a list")
-
-    def reject(column: list, ok: Callable[[object], bool], problem: str) -> None:
-        for index, value in enumerate(column):
-            if not ok(value):
-                raise IngestError(
-                    f"{path}: rule {index}: {problem}, got {reprlib.repr(value)}"
-                )
-
-    def values(key: str) -> list:
-        try:
-            return list(map(operator.itemgetter(key), rules))
-        except (KeyError, TypeError):  # a rule lacks the key or is no object
-            reject(rules, lambda rule: type(rule) is dict,
-                   "malformed rules document: a rule must be a JSON object")  # fmt: skip
-            index = next(i for i, rule in enumerate(rules) if key not in rule)
-            raise IngestError(f"{path}: rule {index}: missing key {key!r}") from None
-
-    sides = []
-    for key in ("lhs", "rhs"):
-        column = values(key)
-        if not set(map(type, column)) <= {list}:
-            reject(column, lambda side: type(side) is list,
-                   f"malformed rules document: {key} must be a list")  # fmt: skip
-        sides.append(column)
-    lhs, rhs = sides
-    ids = reduce(operator.iadd, lhs + rhs, [])
-    # Types are tested apart from the range, because 1.0 and True equal 1
-    # and hash alike; with only ints, the range test cannot meet an
-    # unhashable id.
-    if not (
-        set(map(type, ids)) <= {int} and frozenset(range(catalog_size)).issuperset(ids)
-    ):
-        for index, items in enumerate(map(operator.add, lhs, rhs)):
-            for item in items:
-                if type(item) is not int:
-                    problem = "not an integer"
-                elif not 0 <= item < catalog_size:
-                    problem = f"not in the {catalog_size}-item catalog"
-                else:
-                    continue
-                raise IngestError(
-                    f"{path}: rule {index}: item id {item!r} is {problem}"
-                )
-    for key in ("lhs_count", "rhs_count", "count"):
-        column = values(key)
-        if not _are_counts(column):
-            reject(column, lambda count: _are_counts([count]),
-                   f"{key} must be a non-negative integer")  # fmt: skip
-    for key in Metrics._fields:
-        column = values(key)
-        inf = ("inf",) if key == "conviction" else ()  # written for an infinite one
-        numbers = list(filter(partial(operator.ne, "inf"), column)) if inf else column
-        if _are_metrics(numbers):  # the string "inf" is the reader's +inf
-            continue
-        alternative = ' or "inf"' if inf else ""
-        reject(column, lambda value: value in inf or _is_number(value),
-               f"{key} must be a number{alternative}")  # fmt: skip
-        reject(column, partial(_is_metric, key),
-               f"{key} must be finite{alternative}")  # fmt: skip
+    # KeyError or TypeError: a rule lacks a key or is no object, or a side is
+    # not iterable; the walk below then names the fault
+    try:
+        columns = [list(map(operator.itemgetter(key), rules)) for key in _RULE_KEYS]
+        sides, counts, metrics = columns[0] + columns[1], columns[2:5], columns[5:]
+        ids = list(itertools.chain.from_iterable(sides))
+        at = Metrics._fields.index("conviction")  # whose +inf is the string "inf"
+        metrics[at] = list(filter(partial(operator.ne, "inf"), metrics[at]))
+        # Types are tested apart from the range, because 1.0 and True equal 1
+        # and hash alike; with only ints, the range test cannot meet an
+        # unhashable id.
+        valid = (
+            not {*map(type, sides)} - {list}
+            and not {*map(type, ids)} - {int}
+            and frozenset(range(catalog_size)).issuperset(ids)
+            and all(map(_are_counts, counts))
+            and all(map(_are_metrics, metrics))
+        )
+    except (KeyError, TypeError):
+        valid = False
+    for index, rule in enumerate(() if valid else rules):
+        if (problem := _rule_fault(rule, catalog_size)) is not None:
+            raise IngestError(f"{path}: rule {index}: {problem}")
 
 
 def report_rows_from_csv(path: str, precision: int) -> tuple[list, list]:
     """The header and rows of a rules CSV for report, each metric cell
     rendered at precision; IngestError "<path>:<line>: <problem>"."""
-    with open(path, "r", encoding="utf-8", newline="") as handle, utf8_input(path):
+    with open(path, "r", encoding="utf-8-sig", newline="") as handle, utf8_input(path):
         reader = csv.reader(handle)
+
+        def fault(problem: str) -> IngestError:
+            return IngestError(f"{path}:{reader.line_num}: {problem}")
+
         try:
             header = next(reader, None)
             if header is None:
                 raise IngestError(f"{path}: empty rule file")
+            metrics = [(i, h) for i, h in enumerate(header) if h in Metrics._fields]
             rows = []
             for row in reader:
                 if len(row) != len(header):
-                    raise IngestError(
-                        f"{path}:{reader.line_num}: expected {len(header)} "
-                        f"fields, got {len(row)}"
-                    )
-                for index, name in enumerate(header):
-                    if name in Metrics._fields:
-                        try:
-                            value = float(row[index])
-                        except ValueError:
-                            raise IngestError(
-                                f"{path}:{reader.line_num}: {name} is not a "
-                                f"number: {row[index]!r}"
-                            ) from None
-                        if not _is_metric(name, row[index]):
-                            alternative = ' or "inf"' if name == "conviction" else ""
-                            raise IngestError(
-                                f"{path}:{reader.line_num}: {name} must be "
-                                f"finite{alternative}, got {row[index]!r}"
-                            )
-                        row[index] = _fmt(value, precision)
+                    raise fault(f"expected {len(header)} fields, got {len(row)}")
+                for index, name in metrics:
+                    try:
+                        value = float(cell := row[index])
+                    except ValueError:
+                        raise fault(f"{name} is not a number: {cell!r}") from None
+                    if not _is_metric(name, cell):
+                        alternative = ' or "inf"' if name == "conviction" else ""
+                        raise fault(f"{name} must be finite{alternative}, got {cell!r}")
+                    row[index] = _fmt(value, precision)
                 rows.append(row)
         except csv.Error as exc:  # e.g. a field past csv.field_size_limit()
-            raise IngestError(f"{path}:{reader.line_num}: {exc}") from None
+            raise fault(str(exc)) from None
     return header, rows
 
 
@@ -652,8 +629,8 @@ def read_rules_json(path: str | os.PathLike) -> RuleSetDocument:
 
 def _parse_rules_json(path: str | os.PathLike, data: bytes) -> RuleSetDocument:
     """The checked document of a rules JSON file's bytes."""
-    with utf8_input(path):  # the text open(path, encoding="utf-8") reads
-        text = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8").read()
+    with utf8_input(path):  # the text open(path, encoding="utf-8-sig") reads
+        text = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8-sig").read()
     try:
         document = json.loads(text)
     except (json.JSONDecodeError, RecursionError) as exc:  # or nested too deep
@@ -661,9 +638,7 @@ def _parse_rules_json(path: str | os.PathLike, data: bytes) -> RuleSetDocument:
     if not isinstance(document, dict):
         raise IngestError(f"{path}: rules document must be a JSON object")
     try:
-        catalog = ItemCatalog(
-            tuple(parse_item(token) for token in document["catalog"])
-        )
+        catalog = ItemCatalog(tuple(map(parse_item, document["catalog"])))
         total = document["total"]
         if type(total) is not int or total < 1:
             raise IngestError(

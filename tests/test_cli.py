@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import codecs
 import io
 import json
 import math
@@ -14,7 +15,7 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from rulemine import cli, rules
+from rulemine import cli, load_transactions, rules
 
 
 UNIFORM = "a,b\n1,1\n1,1\n1,1\n1,1\n"
@@ -192,6 +193,41 @@ def test_malformed_manifest_exits_1(uniform_csv, tmp_path, capsys, edit, message
     capsys.readouterr()
     assert cli.main(["mine", "--manifest", str(path)]) == 1
     assert capsys.readouterr().err == f"error: {path}: {message}\n"
+
+
+@pytest.mark.parametrize("kind", ["schema", "manifest", "rules.json", "rules.csv", "transactions"])
+def test_every_reader_takes_a_leading_utf8_bom(tmp_path, capsys, kind):
+    # each file is read as written, then as a copy of the same name that
+    # starts with a UTF-8 byte order mark, as some editors save text
+    table = tmp_path / "table.csv"
+    table.write_text("h11,h21\n1,2\n1,2\n1,3\n", encoding="utf-8")
+    schema = tmp_path / "schema.json"
+    schema.write_text('{"columns": [["h11", "x"], ["h21", "y"]]}', encoding="utf-8")
+    out = tmp_path / "out"
+    mine = ["mine", "--input", str(table), "--format", "json"]
+    assert cli.main([*mine, "--schema", str(schema), "--out-dir", str(out)]) == 0
+    exported = tmp_path / "transactions.txt"  # as export_transactions writes it
+    exported.write_text("0,x=1,y=2\n1,x=1,y=2\n2,x=1,y=3\n", encoding="utf-8")
+    files = {"schema": schema, "manifest": out / "manifest.json", "transactions": exported}
+    path = files.get(kind, out / kind)
+
+    def read(path):
+        if kind == "transactions":
+            return load_transactions(path)
+        capsys.readouterr()
+        if kind.startswith("rules."):
+            assert cli.main(["report", "--input", str(path)]) == 0
+            return capsys.readouterr().out
+        again = path.parent / "again"
+        flags = [*mine, "--schema"] if kind == "schema" else ["mine", "--manifest"]
+        assert cli.main([*flags, str(path), "--out-dir", str(again)]) == 0
+        return (again / "rules.json").read_bytes()
+
+    expected = read(path)
+    marked = tmp_path / "marked" / path.name
+    marked.parent.mkdir()
+    marked.write_bytes(codecs.BOM_UTF8 + path.read_bytes())
+    assert read(marked) == expected
 
 
 def test_manifest_without_include_empty_lhs_replays_as_true(uniform_csv, tmp_path):
@@ -1082,6 +1118,30 @@ def test_predict_accepts_source_header(tmp_path, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["target"] == "item1"
     assert payload["predictions"][0]["value"] == 3
+
+
+def test_predict_known_items_accept_source_headers(tmp_path, capsys):
+    table = tmp_path / "hodge.csv"
+    table.write_text(
+        "h11,h21,h13,h14,h22,h23\n"
+        + "".join(f"3,0,0,{1000 + t % 2},4,2000\n" for t in range(10)),
+        encoding="utf-8",
+    )
+    out = tmp_path / "out"
+    argv = ["mine", "--input", str(table), "--schema", "cicy5", "--out-dir", str(out)]
+    assert cli.main([*argv, "--format", "json"]) == 0
+    predict = ["predict", "--input", str(out / "rules.json"), "--target", "h11"]
+    answers = []
+    for known in (["item3=0", "item5=4"], ["h13=0", "h22=4"], ["h13=0", "item5=4"]):
+        capsys.readouterr()
+        assert cli.main([*predict, *(f"--known={token}" for token in known)]) == 0
+        answers.append(capsys.readouterr().out)
+    assert answers[0] == answers[1] == answers[2]
+    payload = json.loads(answers[0])
+    assert payload["known"] == ["item3=0", "item5=4"] and payload["predictions"]
+    # a column that is neither a label nor a source header is still unknown
+    assert cli.main([*predict, "--known", "h99=0"]) == 2
+    assert capsys.readouterr().err == "error: unknown item h99=0\n"
 
 
 def test_predict_no_match_is_empty_success(tmp_path, capsys):

@@ -333,6 +333,17 @@ def test_writers_reject_an_id_outside_the_catalog(tmp_path, writer, bad):
             _WRITERS[writer](rules[:1] + [_rule((0,), (bad,))], catalog, tmp_path / "rules")
 
 
+@pytest.mark.parametrize("writer, named", [("csv", 5), ("rule_rows", 5), ("json", 7)])
+def test_writers_name_the_first_bad_side_they_meet(tmp_path, writer, named):
+    # rule 0's RHS and rule 1's LHS hold ids outside the catalog: the rules
+    # table renders each rule's LHS then its RHS, rule by rule, so it meets
+    # rule 0's first; rules.json renders every LHS, then every RHS
+    catalog = ItemCatalog((("a", 1), ("b", 1)))
+    rules = [_rule((0,), (5,)), _rule((7,), (1,))]
+    with pytest.raises(UnknownItemError, match=rf"^unknown item id {named}$"):
+        _WRITERS[writer](rules, catalog, tmp_path / "rules")
+
+
 @pytest.mark.parametrize("bad", [2, -1, True])
 def test_write_itemsets_rejects_an_id_outside_the_catalog(tmp_path, bad):
     catalog = ItemCatalog((("a", 1), ("b", 1)))
@@ -511,6 +522,22 @@ def test_a_malformed_file_fails_every_read(tmp_path, cicy5_db, bad, message):
         assert read_rules_json(good).rules == rules
     path.write_bytes(good.read_bytes())
     assert read_rules_json(path).rules == rules
+
+
+def test_a_file_with_faults_in_two_rules_names_the_first_rule(tmp_path):
+    # rule 1's lhs is no list, a fault of an earlier key than rule 0's
+    # leverage; the rules are walked in order, so rule 0 is named
+    rule = {
+        "lhs": [0], "rhs": [1], "lhs_count": 4, "rhs_count": 4, "count": 4,
+        "support": 1.0, "confidence": 1.0, "coverage": 1.0, "lift": 1.0,
+        "conviction": 1.0, "leverage": 0.0,
+    }  # fmt: skip
+    rules = [{**rule, "leverage": None}, {**rule, "lhs": 0}]
+    path = tmp_path / "rules.json"
+    path.write_text(json.dumps({"total": 4, "catalog": ["a=1", "b=1"], "rules": rules}))
+    with pytest.raises(IngestError) as failure:
+        read_rules_json(path)
+    assert str(failure.value) == f"{path}: rule 0: leverage must be a number, got None"
 
 
 def test_changes_to_a_document_do_not_reach_the_next_read(tmp_path):
