@@ -20,6 +20,7 @@ import json
 import os
 import sys
 import time
+from collections.abc import Iterator
 from pathlib import Path
 
 from . import __version__
@@ -58,6 +59,15 @@ RECORDED_FLAGS = (
     "workers", "ordering", "include_empty_lhs", "format", "precision",
 )  # fmt: skip
 
+# Each output's manifest key and file name. mine writes each under a
+# temporary name in --out-dir and, once all are written, moves them into
+# place in this order, the manifest last: a run that fails leaves the
+# previous run's files as they were.
+OUTPUTS = {
+    "itemsets": "itemsets.csv", "rules_csv": "rules.csv",
+    "rules_json": "rules.json", "manifest": "manifest.json",
+}  # fmt: skip
+
 # Every float64 is a multiple of 2**-1074, so its fixed-point expansion
 # has at most 1074 decimals; a larger --precision only appends zeros.
 MAX_PRECISION = 1074
@@ -89,9 +99,7 @@ def build_parser() -> argparse.ArgumentParser:
     mine.add_argument("--min-confidence", type=float, default=0.80)
     mine.add_argument("--max-len", type=int, default=None)
     mine.add_argument("--workers", type=int, default=1)
-    mine.add_argument(
-        "--ordering", choices=sorted(ORDERINGS), default="default"
-    )
+    mine.add_argument("--ordering", choices=sorted(ORDERINGS), default="default")
     mine.add_argument(
         "--no-empty-lhs",
         dest="include_empty_lhs",
@@ -107,9 +115,7 @@ def build_parser() -> argparse.ArgumentParser:
         "(other flags are ignored except --out-dir)",
     )
 
-    report = commands.add_parser(
-        "report", help="print the top rules of a previous run"
-    )
+    report = commands.add_parser("report", help="print the top rules of a previous run")
     report.add_argument("--input", required=True, help="rules.csv or rules.json")
     report.add_argument("--top", type=int, default=10)
     report.add_argument("--precision", type=int, default=4)
@@ -120,9 +126,7 @@ def build_parser() -> argparse.ArgumentParser:
         "coverage,lift,count",
     )
 
-    pred = commands.add_parser(
-        "predict", help="predict one column from a rules.json"
-    )
+    pred = commands.add_parser("predict", help="predict one column from a rules.json")
     pred.add_argument("--input", required=True, help="rules.json of a prior run")
     pred.add_argument(
         "--known",
@@ -173,12 +177,9 @@ def _validate_mine_args(
         raise ConfigError("--separator must be a single character")
     if not args.input:
         raise ConfigError("--input is required")
-    for flag, path in (
-        ("--input", args.input),
-        ("--schema", args.schema),
-        ("--out-dir", args.out_dir),
-    ):
-        _check_path(flag, path)
+    _check_path("--input", args.input)
+    _check_path("--schema", args.schema)
+    _check_path("--out-dir", args.out_dir)
     return mining, rule_config
 
 
@@ -196,93 +197,69 @@ def cmd_mine(args: argparse.Namespace) -> int:
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    # the manifest's "outputs": each file's path, None for one not written
+    outputs = {key: str(out_dir / name) for key, name in OUTPUTS.items()}
+    if args.format == "csv":
+        outputs["rules_json"] = None
 
     stats: dict = {}
-    t0 = time.perf_counter()
-    db = load_csv(args.input, schema, separator=args.separator, stats=stats)
-    t_load = time.perf_counter() - t0
+    timings: dict = {}
+    with _stage(timings, "load_s"):
+        db = load_csv(args.input, schema, separator=args.separator, stats=stats)
+    with _stage(timings, "mine_s"):
+        frequent = mine_frequent(db, mining, workers=args.workers)
+    with _stage(timings, "rules_s"):
+        rules = generate_rules(frequent, rule_config)
 
-    t0 = time.perf_counter()
-    frequent = mine_frequent(db, mining, workers=args.workers)
-    t_mine = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    rules = generate_rules(frequent, rule_config)
-    t_rules = time.perf_counter() - t0
-
-    itemsets_path = out_dir / "itemsets.csv"
-    rules_csv_path = out_dir / "rules.csv"
-    rules_json_path = out_dir / "rules.json" if args.format == "json" else None
-    manifest_path = out_dir / "manifest.json"
-    # Each output is written under a temporary name in out_dir and moved
-    # into place once all are written, the manifest last, so a run that
-    # fails leaves the previous run's files as they were.
-    finals = [
-        path
-        for path in (itemsets_path, rules_csv_path, rules_json_path, manifest_path)
-        if path is not None
-    ]
     staged = {
-        path: path.with_name(f".{path.name}.{os.getpid()}.tmp") for path in finals
+        key: out_dir / f".{name}.{os.getpid()}.tmp"
+        for key, name in OUTPUTS.items()
+        if outputs[key] is not None
     }
     try:
-        t0 = time.perf_counter()
-        write_itemsets(frequent, db.catalog, staged[itemsets_path])
-        write_rules_csv(
-            rules, db.catalog, staged[rules_csv_path], precision=args.precision
-        )
-        if rules_json_path is not None:
-            sources = (
-                {label: source for source, label in schema.columns}
-                if schema is not None
-                else {}
+        with _stage(timings, "write_s"):
+            write_itemsets(frequent, db.catalog, staged["itemsets"])
+            write_rules_csv(
+                rules, db.catalog, staged["rules_csv"], precision=args.precision
             )
-            write_rules_json(
-                rules,
-                db.catalog,
-                db.total,
-                staged[rules_json_path],
-                column_sources=sources,
-                mining=dataclasses.asdict(mining),
-                rule_config=dataclasses.asdict(rule_config),
-            )
-        t_write = time.perf_counter() - t0
+            if "rules_json" in staged:
+                sources = (
+                    {label: source for source, label in schema.columns}
+                    if schema is not None
+                    else {}
+                )
+                write_rules_json(
+                    rules,
+                    db.catalog,
+                    db.total,
+                    staged["rules_json"],
+                    column_sources=sources,
+                    mining=dataclasses.asdict(mining),
+                    rule_config=dataclasses.asdict(rule_config),
+                )
 
         manifest = {
             "engine": ENGINE_NAME,
             "version": __version__,
             **{name: getattr(args, name) for name in RECORDED_FLAGS},
             "out_dir": str(out_dir),
-            "outputs": {
-                "itemsets": str(itemsets_path),
-                "rules_csv": str(rules_csv_path),
-                "rules_json": (
-                    str(rules_json_path) if rules_json_path is not None else None
-                ),
-                "manifest": str(manifest_path),
-            },
+            "outputs": outputs,
             "database": {
                 "total": db.total,
                 "items": len(db.catalog),
                 "columns": list(db.catalog.columns),
                 **stats,
             },
-            "timings": {
-                "load_s": round(t_load, 6),
-                "mine_s": round(t_mine, 6),
-                "rules_s": round(t_rules, 6),
-                "write_s": round(t_write, 6),
-            },
+            "timings": timings,
         }
-        with open(
-            staged[manifest_path], "w", encoding="utf-8", newline="\n"
-        ) as handle:
+        with open(staged["manifest"], "w", encoding="utf-8", newline="\n") as handle:
             json.dump(manifest, handle, indent=2)
             handle.write("\n")
-        if rules_json_path is None:  # a stale one would outlive this run
-            (out_dir / "rules.json").unlink(missing_ok=True)
-        for path in finals:
-            os.replace(staged[path], path)
+        for key, path in outputs.items():
+            if path is None:  # a stale one from an earlier run would outlive this run
+                (out_dir / OUTPUTS[key]).unlink(missing_ok=True)
+            else:
+                os.replace(staged[key], path)
     finally:
         for temporary in staged.values():
             with contextlib.suppress(OSError):
@@ -293,6 +270,14 @@ def cmd_mine(args: argparse.Namespace) -> int:
         f"{len(rules)} rules -> {out_dir}"
     )
     return 0
+
+
+@contextlib.contextmanager
+def _stage(timings: dict, key: str) -> Iterator[None]:
+    """Time the block into timings[key], in seconds to the microsecond."""
+    start = time.perf_counter()
+    yield
+    timings[key] = round(time.perf_counter() - start, 6)
 
 
 def _args_from_manifest(args: argparse.Namespace) -> argparse.Namespace:
@@ -336,10 +321,7 @@ def cmd_report(args: argparse.Namespace) -> int:
     else:
         header, rows = report_rows_from_csv(path, args.precision)
     rows = rows[: args.top]
-    widths = [
-        max(len(header[i]), *(len(r[i]) for r in rows)) if rows else len(header[i])
-        for i in range(len(header))
-    ]
+    widths = [max(map(len, column)) for column in zip(header, *rows)]
     print("  ".join(h.ljust(w) for h, w in zip(header, widths)).rstrip())
     for row in rows:
         print("  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip())
@@ -391,9 +373,7 @@ def cmd_predict(args: argparse.Namespace) -> int:
     json.dump(payload, sys.stdout, indent=2)
     sys.stdout.write("\n")
     if not predictions:
-        print(
-            f"no rule matches the query (target {target!r})", file=sys.stderr
-        )
+        print(f"no rule matches the query (target {target!r})", file=sys.stderr)
     return 0
 
 

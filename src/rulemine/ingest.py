@@ -317,21 +317,25 @@ def _proven_lines(
 
 def _csv_rows(
     path: str | os.PathLike,
-    reader: Iterable[list[str]],
+    reader: Iterator[list[str]],
     schema: SchemaConfig,
     indices: list[int],
     stats: dict | None,
 ) -> Iterator[Row]:
-    """Yield (tid, [(label, value), ...]) for each row that survives the
-    missing policy, as it is read, each present cell parsed by
-    parse_int; fill stats once the file is read."""
+    """Yield (tid, [(label, value), ...]) for each row of the csv.reader
+    that survives the missing policy, as it is read, each present cell
+    parsed by parse_int; fill stats once the file is read. A cell at
+    fault is named by the line its record starts on: a quoted cell may
+    hold a line break, so that line comes from reader.line_num."""
     drop_row = schema.missing_policy == "drop_row"
     markers = schema.missing_markers
     labels = schema.labels
     sources = {label: source for source, label in schema.columns}
     pad = [""] * (max(indices) + 1)  # a short row's absent cells read as ""
     rows_read = rows_kept = 0
-    for lineno, record in enumerate(reader, start=2):
+    start = reader.line_num + 1  # the line the next record starts on
+    for record in reader:
+        line, start = start, reader.line_num + 1
         if not record:
             continue  # blank line
         rows_read += 1
@@ -351,7 +355,7 @@ def _csv_rows(
                 items.append((label, parse_int(cell)))
         except ValueError:  # the first cell at fault, in schema order
             raise IngestError(
-                f"{path}:{lineno}: column {sources[label]!r}: cannot parse "
+                f"{path}:{line}: column {sources[label]!r}: cannot parse "
                 f"{cell!r} as an integer"
             ) from None
         yield rows_kept, items

@@ -267,16 +267,9 @@ CSV_COLUMNS = (
 CSV_COLUMNS_EXTENDED = CSV_COLUMNS + ("conviction", "leverage")
 
 
-def _fmt(value: float, precision: int) -> str:
-    return f"{value:.{precision}f}"  # math.inf renders as the token "inf"
-
-
-def _fmt_column(values: Sequence[float], precision: int) -> list[str]:
-    """_fmt of each value, once per float64 bit pattern (-0.0 and NaN too)."""
-    bits = np.array(values, np.float64).view(np.int64)
-    distinct, inverse = np.unique(bits, return_inverse=True)
-    texts = list(map(f"{{:.{precision}f}}".format, distinct.view(np.float64).tolist()))
-    return list(map(texts.__getitem__, inverse.tolist()))
+def _fmt(precision: int) -> Callable[[float], str]:
+    """A metric's cell text at precision decimals; math.inf renders as "inf"."""
+    return f"{{:.{precision}f}}".format
 
 
 def _side_texts(sides: list[Itemset], render: Callable[[Itemset], str]) -> list[str]:
@@ -304,7 +297,8 @@ def rule_rows(
     lhs, rhs, count, *metrics = list(zip(*rules)) or [()] * len(AssociationRule._fields)
     sides = list(itertools.chain.from_iterable(zip(lhs, rhs)))
     sides = _side_texts(sides, lambda side: cell(render_side(side.items, catalog)))
-    texts = [_fmt_column(values, precision) for values in metrics[: 4 + 2 * extended]]
+    fmt = _fmt(precision)
+    texts = [list(map(fmt, values)) for values in metrics[: 4 + 2 * extended]]
     numbers, lhs, rhs = map(str, range(1, len(count) + 1)), sides[::2], sides[1::2]
     return map(list, zip(numbers, lhs, rhs, *texts[:4], map(str, count), *texts[4:]))
 
@@ -563,6 +557,7 @@ def _check_rules(path: str | os.PathLike, rules: object, catalog_size: int) -> N
 def report_rows_from_csv(path: str, precision: int) -> tuple[list, list]:
     """The header and rows of a rules CSV for report, each metric cell
     rendered at precision; IngestError "<path>:<line>: <problem>"."""
+    fmt = _fmt(precision)
     with open(path, "r", encoding="utf-8-sig", newline="") as handle, utf8_input(path):
         reader = csv.reader(handle)
 
@@ -586,7 +581,7 @@ def report_rows_from_csv(path: str, precision: int) -> tuple[list, list]:
                     if not _is_metric(name, cell):
                         alternative = ' or "inf"' if name == "conviction" else ""
                         raise fault(f"{name} must be finite{alternative}, got {cell!r}")
-                    row[index] = _fmt(value, precision)
+                    row[index] = fmt(value)
                 rows.append(row)
         except csv.Error as exc:  # e.g. a field past csv.field_size_limit()
             raise fault(str(exc)) from None

@@ -417,6 +417,13 @@ def test_load_transactions_errors(tmp_path):
         load_transactions(empty)
 
 
+def test_load_transactions_names_a_file_it_cannot_read(tmp_path):
+    path = tmp_path / "absent.txt"
+    with pytest.raises(IngestError) as err:
+        load_transactions(path)
+    assert str(err.value).startswith(f"cannot read {path}: ")
+
+
 @pytest.mark.parametrize(
     "text, lineno, tid",
     [("1,a=1\n", 1, 1), ("0\n0\n", 2, 0), ("0\n\n2,a=1\n", 3, 2), ("-1\n", 1, -1)],
@@ -460,6 +467,20 @@ def test_other_spellings_of_an_integer_are_rejected(tmp_path, cell, policy):
         load_csv(path, _ab_schema(policy))
     message = f"{path}:3: column 'b': cannot parse {shown!r} as an integer"
     assert str(err.value) == message
+
+
+@pytest.mark.parametrize("policy", MISSING_POLICIES)
+@pytest.mark.parametrize("ending", ["\n", "\r\n", "\r"])
+def test_parse_error_names_its_line_after_a_record_with_a_line_break(
+    tmp_path, policy, ending
+):
+    # the quoted cell spans lines 2 and 3, so 'z' is on line 4, not on the
+    # third record's ordinal line
+    path = tmp_path / "table.csv"
+    path.write_text(f'a,b{ending}1,"2{ending}"{ending}z,2{ending}', newline="")
+    with pytest.raises(IngestError) as err:
+        load_csv(path, _ab_schema(policy))
+    assert str(err.value) == f"{path}:4: column 'a': cannot parse 'z' as an integer"
 
 
 @pytest.mark.parametrize(

@@ -14,11 +14,14 @@ from hypothesis import example, given, settings, strategies as st
 import helpers
 from rulemine import (
     ConfigError,
+    EmptyDatabaseError,
     FrequentSetError,
     FrequentSets,
+    ItemCatalog,
     Itemset,
     MiningConfig,
     RuleConfig,
+    TransactionDatabase,
     UnknownItemError,
     brute_force_frequent,
     build_database,
@@ -624,6 +627,12 @@ def test_no_frequent_items_leaves_single_empty_level():
     assert frequent.levels == ((),)
     assert list(frequent) == []
     assert len(frequent) == 0
+
+
+def test_mining_an_empty_database_raises():
+    empty = TransactionDatabase(ItemCatalog(()), np.zeros((0, 1), np.uint64), (), 0)
+    with pytest.raises(EmptyDatabaseError, match="cannot mine an empty database"):
+        mine_frequent(empty, MiningConfig(0.5))
 
 
 @pytest.mark.parametrize("workers", [0, -1, True, False, 2.0, "2"])

@@ -108,6 +108,11 @@ def test_metric_validation():
         compute_metrics(True, 5, 1, 10)
 
 
+def test_metric_validation_rejects_a_negative_joint_count():
+    with pytest.raises(MetricError, match="joint_count >= 0"):
+        compute_metrics(3, 5, -1, 10)
+
+
 def _mined_rules(db, min_support=0.5, **rule_kwargs):
     frequent = mine_frequent(db, MiningConfig(min_support))
     return generate_rules(frequent, RuleConfig(**rule_kwargs))
@@ -439,6 +444,29 @@ def test_json_keeps_full_precision(tmp_path, cicy5_db):
     write_rules_json(rules, cicy5_db.catalog, frequent.total, path)
     document = read_rules_json(path)
     assert document.rules == tuple(rules)  # float equality, not approx
+
+
+def test_stored_rules_index_as_a_tuple_does(tmp_path, cicy5_db):
+    path = tmp_path / "rules.json"
+    rules = _write_rules(path, cicy5_db, 0.80)
+    stored = read_rules_json(path).rules
+    assert len(rules) >= 2
+    for index in (0, 1, len(rules) - 1, -1, -len(rules)):
+        assert stored[index] == rules[index]
+    for index in (len(rules), -len(rules) - 1):
+        with pytest.raises(IndexError):
+            stored[index]
+
+
+def test_stored_rules_are_unequal_to_a_foreign_type(tmp_path, cicy5_db):
+    path = tmp_path / "rules.json"
+    rules = _write_rules(path, cicy5_db, 0.80)
+    stored = read_rules_json(path).rules
+    assert stored == rules
+    for other in (list(rules), None, "rules"):
+        assert stored.__eq__(other) is NotImplemented
+        assert stored != other
+        assert not stored == other
 
 
 def _write_rules(path, db, min_confidence: float, **header) -> tuple:

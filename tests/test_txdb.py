@@ -97,6 +97,20 @@ def test_empty_row_set_rejected():
         build_database([])
 
 
+def test_columnar_build_needs_a_column():
+    with pytest.raises(EmptyDatabaseError, match="at least one column is required"):
+        build_database_from_columns({})
+
+
+def test_database_is_unequal_to_a_foreign_type():
+    db = build_database([(0, [("a", 1)])])
+    assert db == build_database([(0, [("a", 1)])])
+    for other in (None, db.catalog, "db"):
+        assert db.__eq__(other) is NotImplemented
+        assert db != other
+        assert not db == other
+
+
 def test_transaction_items_sorted_and_deduplicated():
     db = build_database([(0, [("b", 1), ("a", 1), ("b", 1)])])
     assert db.transactions == (Transaction(0, (0, 1)),)
