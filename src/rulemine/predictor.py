@@ -2,12 +2,12 @@
 
 A rule votes for a candidate value v of the target column when its RHS
 is exactly {target=v} and its whole LHS is contained in the known items.
-Each candidate keeps its single best witnessing rule (highest
-confidence, then highest support, then shortest and lexicographically
-smallest LHS); candidates rank by confidence descending, ties by support
-descending, then ascending value. No matching rule means no prediction,
-which is a valid empty answer, not an error. `rules` may be any rules,
-or only the voters (StoredRules.with_single_rhs_in narrows them so).
+Each candidate keeps its single best witnessing rule (highest confidence,
+then highest support, then shortest and lexicographically smallest LHS,
+then first in rule order); candidates rank by confidence descending, ties
+by support descending, then ascending value. No matching rule means no
+prediction, which is a valid empty answer, not an error. `rules` may be
+any rules, or only the voters (StoredRules.with_single_rhs_in narrows them).
 """
 
 from __future__ import annotations
@@ -60,18 +60,16 @@ def predict(
             )
     known = frozenset(ids)
 
+    voters = [
+        rule
+        for rule in rules
+        if len(rule.rhs.items) == 1
+        and catalog.column(rule.rhs.items[0]) == target_column
+        and known.issuperset(rule.lhs.items)
+    ]
     best: dict[ItemId, AssociationRule] = {}
-    for rule in rules:
-        if len(rule.rhs.items) != 1:
-            continue
-        candidate = rule.rhs.items[0]
-        if catalog.column(candidate) != target_column:
-            continue
-        if not frozenset(rule.lhs.items) <= known:
-            continue
-        current = best.get(candidate)
-        if current is None or _witness_rank(rule) < _witness_rank(current):
-            best[candidate] = rule
+    for rule in sorted(voters, key=_witness_rank):  # stable: a tie keeps rule order
+        best.setdefault(rule.rhs.items[0], rule)
 
     predictions = [
         Prediction(

@@ -526,7 +526,7 @@ def _check_rules(path: str | os.PathLike, rules: object, catalog_size: int) -> N
     pass: a test of each key of _RULE_KEYS over all rules' values at once.
     If a test fails, the rules are walked once, in order, and the first with
     a fault raises IngestError "<path>: rule <i>: <its first, by _rule_fault>".
-    The walk may find none: int metrics, or a sum that overflows, pass it."""
+    A valid file with int metrics, or a sum that overflows, is walked once."""
     if type(rules) is not list:
         raise IngestError(f"{path}: malformed rules document: rules must be a list")
     # KeyError or TypeError: a rule lacks a key or is no object, or a side is

@@ -24,6 +24,7 @@ bit position, so no id is stored.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -155,12 +156,9 @@ class ItemCatalog:
             raise UnknownItemError(str(exc)) from None
         return self.id_of(column, value)
 
-    @property
+    @cached_property
     def columns(self) -> tuple[str, ...]:
-        seen: dict[str, None] = {}
-        for column, _ in self.entries:
-            seen.setdefault(column)
-        return tuple(seen)
+        return tuple(dict.fromkeys(column for column, _ in self.entries))
 
 
 @dataclass(frozen=True, eq=False)

@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -15,7 +16,7 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from rulemine import cli, load_transactions, rules
+from rulemine import IngestError, cli, load_transactions, rules
 
 
 UNIFORM = "a,b\n1,1\n1,1\n1,1\n1,1\n"
@@ -228,6 +229,45 @@ def test_every_reader_takes_a_leading_utf8_bom(tmp_path, capsys, kind):
     marked.parent.mkdir()
     marked.write_bytes(codecs.BOM_UTF8 + path.read_bytes())
     assert read(marked) == expected
+
+
+@pytest.mark.parametrize("unreadable", ["missing", "directory"])
+@pytest.mark.parametrize(
+    "kind",
+    ["schema", "manifest", "report rules.json", "predict rules.json", "rules.csv",
+     "input table", "transactions"],
+)  # fmt: skip
+def test_every_reader_names_an_unreadable_input_on_one_line(
+    uniform_csv, tmp_path, capsys, kind, unreadable
+):
+    # a path that does not exist, or that names a directory, fails on the
+    # one error line, which names the path; a rules directory named
+    # rules.json is read as rules JSON, as a file of that name would be
+    names = {"schema": "schema.json", "manifest": "manifest.json", "input table": "input.csv"}
+    name = names.get(kind, kind.split()[-1])
+    path = tmp_path / "gone" / name if unreadable == "missing" else tmp_path / name
+    if unreadable == "directory":
+        path.mkdir()
+    if kind == "transactions":
+        with pytest.raises(IngestError, match=re.escape(str(path))):
+            load_transactions(path)
+        return
+    out = ["--out-dir", str(tmp_path / "out")]
+    argv = {
+        "schema": ["mine", "--input", str(uniform_csv), "--schema", str(path), *out],
+        "manifest": ["mine", "--manifest", str(path), *out],
+        "report rules.json": ["report", "--input", str(path)],
+        "predict rules.json": ["predict", "--input", str(path), "--known", "a=1",
+                               "--target", "b"],
+        "rules.csv": ["report", "--input", str(path)],
+        "input table": ["mine", "--input", str(path), *out],
+    }[kind]  # fmt: skip
+    capsys.readouterr()
+    assert cli.main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert line.startswith("error: ") and str(path) in line
 
 
 def test_manifest_without_include_empty_lhs_replays_as_true(uniform_csv, tmp_path):
@@ -736,6 +776,8 @@ def _one_rule_document(rules: int = 1, omit: str | None = None, **fields) -> str
         (_one_rule_document(support="0.5"), "rule 0: support must be a number, got '0.5'"),
         (_one_rule_document(leverage=None), "rule 0: leverage must be a number, got None"),
         (_one_rule_document(lift=10**400), "rule 0: lift must be a number, got 1000"),
+        (_one_rule_document(rules=2, coverage=True),
+         "rule 1: coverage must be a number, got True"),
         (_one_rule_document(conviction="Infinity"),
          "rule 0: conviction must be a number or \"inf\", got 'Infinity'"),
         (_one_rule_document(omit="count"), "rule 0: missing key 'count'"),
@@ -769,6 +811,15 @@ def test_malformed_rules_json_exits_1(tmp_path, capsys, content, message):
         err = capsys.readouterr().err
         assert err.startswith("error: ") and str(path) in err and message in err
         assert err.count("\n") == 1
+
+
+def test_a_json_integer_metric_is_read_as_its_float(tmp_path):
+    # as JavaScript's JSON.stringify writes 1.0
+    path = tmp_path / "rules.json"
+    path.write_text(_one_rule_document(rules=2, coverage=1), encoding="utf-8")
+    document = rules.read_rules_json(path)
+    assert [type(rule.coverage) for rule in document.rules] == [float, float]
+    assert cli.main(["report", "--input", str(path)]) == 0
 
 
 @pytest.mark.parametrize(

@@ -222,6 +222,18 @@ def test_best_witness_per_candidate_wins():
     assert predictions[0].rule == strong
 
 
+def test_a_witness_tie_keeps_the_earlier_rule():
+    # same LHS, confidence and support; only the lift differs, which the
+    # witness rank does not read, so the rule first in order witnesses
+    catalog = ItemCatalog((("a", 1), ("c", 5)))
+    first = _rule([0], 100, [1], 90, 80, 200)
+    second = _rule([0], 100, [1], 120, 80, 200)
+    assert first.lift != second.lift
+    for rules in ([first, second], [second, first]):
+        (prediction,) = predict([0], rules, "c", catalog)
+        assert prediction.rule is rules[0]
+
+
 # Three columns of three values; ids 0-2 are a, 3-5 b, 6-8 c.
 _CATALOG = ItemCatalog(tuple((column, value) for column in "abc" for value in range(3)))
 _IDS = st.integers(0, len(_CATALOG) - 1)

@@ -52,6 +52,13 @@ def test_catalog_order_is_column_appearance_then_value():
     assert db.catalog.columns == ("b", "a")
 
 
+def test_catalog_columns_are_one_tuple_in_first_appearance_order():
+    catalog = ItemCatalog((("b", 1), ("a", 0), ("b", 2), ("c", 7), ("a", 3)))
+    assert catalog.columns == ("b", "a", "c")
+    assert catalog.columns is catalog.columns
+    assert catalog == ItemCatalog(catalog.entries)  # the kept tuple is no field
+
+
 def test_column_first_seen_in_a_later_row():
     db = build_database(
         [
