@@ -31,9 +31,11 @@ load_transactions of the export equals the database.
 load_csv reads the rows on one of two paths, which give the same
 database, row counts and errors. A clean table (one ASCII line per row,
 every mapped cell an integer that fits int64, none missing) is parsed
-whole by numpy's C parser and built from its columns. Any other table
-is read again from the start and streamed row by row through
-csv.reader, which alone drops rows and names the cell at fault.
+whole by numpy's C parser and built from its columns, unless parse_int
+takes one of its missing markers (such as "-1"); a marker it refuses,
+such as "-" or "NA", could never be a parsed cell. Any other table is
+read again from the start and streamed row by row through csv.reader,
+which alone drops rows and names the cell at fault.
 """
 
 from __future__ import annotations
@@ -49,7 +51,6 @@ import numpy as np
 
 from .errors import EmptyDatabaseError, IngestError, SchemaError, utf8_input
 from .txdb import (
-    _SIGN_AND_DIGITS,
     TransactionDatabase,
     _check_label,
     build_database,
@@ -268,8 +269,8 @@ def _numpy_matrix(
     and skip the same empty lines, and numpy's int64 parse takes exactly
     the cells that parse_int takes once stripped. numpy raises on any
     other cell (missing, short, non-integer or past int64) and warns on
-    a table without rows; both give None. The rest is checked here: no
-    missing marker spells an integer, so no parsed cell is missing, and
+    a table without rows; both give None. The rest is checked here:
+    parse_int takes no missing marker, so no parsed cell is missing, and
     _proven_lines finds each row on one ASCII line with no NUL and no
     field past csv.field_size_limit(). numpy refuses a quote separator,
     equality is unproven for whitespace ones, and an input that cannot
@@ -277,9 +278,12 @@ def _numpy_matrix(
     """
     if separator.isspace() or separator == '"' or not handle.seekable():
         return None
-    if any(marker and not marker.strip(_SIGN_AND_DIGITS)
-           for marker in schema.missing_markers):
-        return None
+    for marker in schema.missing_markers:
+        try:
+            parse_int(marker)
+        except ValueError:
+            continue
+        return None  # a parsed cell could be this missing marker
     tally: list[int] = []
     lines = _proven_lines(handle, csv.field_size_limit(), tally)
     try:

@@ -2,12 +2,13 @@
 
 A rule votes for a candidate value v of the target column when its RHS
 is exactly {target=v} and its whole LHS is contained in the known items.
-Each candidate keeps its single best witnessing rule (highest confidence,
-then highest support, then shortest and lexicographically smallest LHS,
-then first in rule order); candidates rank by confidence descending, ties
-by support descending, then ascending value. No matching rule means no
-prediction, which is a valid empty answer, not an error. `rules` may be
-any rules, or only the voters (StoredRules.with_single_rhs_in narrows them).
+The voters are put in one order: confidence descending, then support
+descending, then ascending value, then shortest and lexicographically
+smallest LHS, then rule order. Each candidate's witness is its first
+voter in that order, and candidates rank as their witnesses do. No
+matching rule means no prediction, which is a valid empty answer, not an
+error. `rules` may be any rules, or only the voters
+(StoredRules.with_single_rhs_in narrows them).
 """
 
 from __future__ import annotations
@@ -29,15 +30,6 @@ class Prediction:
     confidence: float
     support: float
     rule: AssociationRule
-
-
-def _witness_rank(rule: AssociationRule):
-    return (
-        -rule.confidence,
-        -rule.support,
-        len(rule.lhs.items),
-        rule.lhs.items,
-    )
 
 
 def predict(
@@ -67,11 +59,14 @@ def predict(
         and catalog.column(rule.rhs.items[0]) == target_column
         and known.issuperset(rule.lhs.items)
     ]
+    voters.sort(key=lambda rule: (  # stable: a tie keeps rule order
+        -rule.confidence, -rule.support, catalog.value(rule.rhs.items[0]),
+        len(rule.lhs.items), rule.lhs.items,
+    ))
     best: dict[ItemId, AssociationRule] = {}
-    for rule in sorted(voters, key=_witness_rank):  # stable: a tie keeps rule order
+    for rule in voters:  # a value's first voter is its witness
         best.setdefault(rule.rhs.items[0], rule)
-
-    predictions = [
+    return [
         Prediction(
             item=item_id,
             value=catalog.value(item_id),
@@ -81,5 +76,3 @@ def predict(
         )
         for item_id, rule in best.items()
     ]
-    predictions.sort(key=lambda p: (-p.confidence, -p.support, p.value))
-    return predictions

@@ -62,7 +62,7 @@ def _check_label(label: object) -> str:
     if not isinstance(label, str) or not label:
         raise SchemaError(f"column label must be a non-empty string, got {label!r}")
     bad = _LABEL_FORBIDDEN.intersection(label)
-    if bad or label != label.strip() or any(c.isspace() for c in label):
+    if bad or any(c.isspace() for c in label):
         raise SchemaError(
             f"column label {label!r} may not contain whitespace or any of '={{}},'"
         )
@@ -171,8 +171,6 @@ class TransactionDatabase:
     item_counts: tuple[int, ...]
     total: int
 
-    __hash__ = None  # type: ignore[assignment]
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TransactionDatabase):
             return NotImplemented
@@ -264,7 +262,7 @@ def build_database(
     Columns take catalog order from their first appearance in row order.
     Within a row, repeated identical pairs collapse (a transaction is a
     set). Also raises EmptyDatabaseError, or SchemaError (for a bad
-    value, after the last row).
+    value or label, after the last row).
     """
     if isinstance(rows, Mapping):
         return build_database_from_columns(rows)
@@ -282,7 +280,6 @@ def build_database(
         for column, value in row_items:
             column_cells = cells.get(column)
             if column_cells is None:
-                _check_label(column)
                 column_cells = cells[column] = [None, []]
             positions, values = column_cells
             if positions is None:
@@ -323,7 +320,6 @@ def build_database_from_columns(
     positions = np.arange(total)
     arrays = []
     for name, values in columns.items():
-        _check_label(name)
         if not (isinstance(values, np.ndarray) and values.dtype.kind in "iu"):
             values = _int_array(name, values)
         if values.ndim != 1:

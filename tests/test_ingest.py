@@ -638,6 +638,52 @@ def test_clean_table_skips_the_streamed_path(tmp_path, monkeypatch):
     assert stats == {"rows_read": 2, "rows_dropped": 0, "rows_kept": 2}
 
 
+def _two_columns(markers):
+    return SchemaConfig(
+        name="t", columns=(("a", "a"), ("b", "b")), missing_markers=markers
+    )
+
+
+@pytest.mark.parametrize(
+    "markers", [{"-"}, {"+"}, {"--"}, {"", "NA", "?", "-"}],
+    ids=["dash", "plus", "double_dash", "defaults_and_dash"],
+)
+def test_markers_that_are_no_integer_keep_a_clean_table_on_numpy(
+    tmp_path, monkeypatch, markers
+):
+    path = _write(tmp_path, "a,b\n1,-2\n+3,4\n-0,007\n")
+    schema = _two_columns(markers)
+    expected_stats: dict = {}
+    expected = _reference_load(path, schema, expected_stats)
+
+    def streamed(*args):
+        raise AssertionError("a clean table took the streamed path")
+
+    monkeypatch.setattr(ingest, "_csv_rows", streamed)
+    stats: dict = {}
+    assert load_csv(path, schema, stats=stats) == expected
+    assert stats == expected_stats == {"rows_read": 3, "rows_dropped": 0, "rows_kept": 3}
+
+
+@pytest.mark.parametrize("marker", ["-1", "007"])
+def test_markers_that_spell_an_integer_stream_the_table(tmp_path, monkeypatch, marker):
+    path = _write(tmp_path, f"a,b\n1,2\n{marker},4\n5,6\n")
+    schema = _two_columns({marker})
+    expected_stats: dict = {}
+    expected = _reference_load(path, schema, expected_stats)
+    calls = []
+
+    def streamed(*args, csv_rows=ingest._csv_rows):
+        calls.append(args)
+        return csv_rows(*args)
+
+    monkeypatch.setattr(ingest, "_csv_rows", streamed)
+    stats: dict = {}
+    assert load_csv(path, schema, stats=stats) == expected
+    assert stats == expected_stats == {"rows_read": 3, "rows_dropped": 1, "rows_kept": 2}
+    assert len(calls) == 1
+
+
 def _outcome(path, schema):
     stats: dict = {}
     try:

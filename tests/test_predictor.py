@@ -207,6 +207,25 @@ def test_candidates_rank_by_confidence_then_support_then_value():
     assert predictions[2].value == 1 and predictions[3].value == 2
 
 
+@pytest.mark.parametrize("descending", [False, True], ids=["ascending", "descending"])
+def test_tied_witnesses_rank_by_value_before_lhs_length(descending):
+    # the larger value's witness has the shorter LHS; the catalog may list
+    # the target's values in either order, so ids need not follow values
+    values = (5, 2) if descending else (2, 5)
+    catalog = ItemCatalog((("a", 1), ("b", 1), *(("c", v) for v in values)))
+    c2, c5 = catalog.id_of("c", 2), catalog.id_of("c", 5)
+    long_lhs = _rule([0, 1], 50, [c2], 40, 40, 100)
+    short_lhs = _rule([0], 50, [c5], 40, 40, 100)
+    assert (long_lhs.confidence, long_lhs.support) == (
+        short_lhs.confidence, short_lhs.support
+    )
+    for rules in ([long_lhs, short_lhs], [short_lhs, long_lhs]):
+        predictions = predict([0, 1], rules, "c", catalog)
+        assert [(p.value, p.rule) for p in predictions] == [
+            (2, long_lhs), (5, short_lhs)
+        ]
+
+
 def test_best_witness_per_candidate_wins():
     total = 100
     rows = [(t, [("a", 1), ("b", 2), ("c", 5)]) for t in range(total)]

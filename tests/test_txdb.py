@@ -311,6 +311,8 @@ def test_label_validation():
     for bad in ("", "a=b", "a,b", "a b", "a{", 7):
         with pytest.raises(SchemaError):
             build_database([(0, [(bad, 1)])])
+        with pytest.raises(SchemaError):
+            build_database_from_columns({bad: [1]})
 
 
 def test_values_must_be_plain_ints():
