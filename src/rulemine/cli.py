@@ -33,22 +33,10 @@ from .errors import (
     UnknownItemError,
     utf8_input,
 )
-from .ingest import SCHEMA_PRESETS, load_csv, resolve_schema
-from .miner import MiningConfig, mine_frequent, write_itemsets
-from .predictor import predict
-from .rules import (
-    CSV_COLUMNS,
-    CSV_COLUMNS_EXTENDED,
-    ORDERINGS,
-    RuleConfig,
-    generate_rules,
-    read_rules_json,
-    render_rule,
-    report_rows_from_csv,
-    rule_rows,
-    write_rules_csv,
-    write_rules_json,
-)
+
+# The engine is bound on first use (see __getattr__), and each command calls
+# it as _cli.<name>, so a wrapper set on this module is the one called.
+_cli = sys.modules[__name__]
 
 ENGINE_NAME = "rulemine"
 
@@ -91,15 +79,16 @@ def build_parser() -> argparse.ArgumentParser:
     mine.add_argument(
         "--schema",
         default="generic",
-        help="schema preset (%s), 'generic', or a JSON schema file"
-        % ", ".join(sorted(SCHEMA_PRESETS)),
+        help="schema preset (cicy5, cicy6), 'generic', or a JSON schema file",
     )
     mine.add_argument("--separator", default=",", help="CSV field separator")
     mine.add_argument("--min-support", type=float, default=0.10)
     mine.add_argument("--min-confidence", type=float, default=0.80)
     mine.add_argument("--max-len", type=int, default=None)
     mine.add_argument("--workers", type=int, default=1)
-    mine.add_argument("--ordering", choices=sorted(ORDERINGS), default="default")
+    mine.add_argument(
+        "--ordering", default="default", help="rule order: default, confidence, support"
+    )
     mine.add_argument(
         "--no-empty-lhs",
         dest="include_empty_lhs",
@@ -107,7 +96,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="suppress rules with an empty left-hand side",
     )
     mine.add_argument("--out-dir", default=None, help="output directory (default: out)")
-    mine.add_argument("--format", choices=("csv", "json"), default="csv")
+    mine.add_argument("--format", default="csv", help="csv, or json to add rules.json")
     mine.add_argument("--precision", type=int, default=4)
     mine.add_argument(
         "--manifest",
@@ -161,8 +150,8 @@ def _validate_mine_args(
     rules of the thresholds, --max-len, --ordering and include_empty_lhs;
     the checks here cover the flags no config holds. A replayed manifest
     may hold any JSON value, so types are checked along with ranges."""
-    mining = MiningConfig(args.min_support, args.max_len)
-    rule_config = RuleConfig(
+    mining = _cli.MiningConfig(args.min_support, args.max_len)
+    rule_config = _cli.RuleConfig(
         min_confidence=args.min_confidence,
         include_empty_lhs=args.include_empty_lhs,
         ordering=args.ordering,
@@ -191,9 +180,9 @@ def cmd_mine(args: argparse.Namespace) -> int:
     mining, rule_config = _validate_mine_args(args)
     # absolute paths let the manifest replay from any working directory
     args.input = os.path.abspath(args.input)
-    if args.schema not in SCHEMA_PRESETS and args.schema != "generic":
+    if args.schema not in _cli.SCHEMA_PRESETS and args.schema != "generic":
         args.schema = os.path.abspath(args.schema)
-    schema = resolve_schema(args.schema)
+    schema = _cli.resolve_schema(args.schema)
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -205,11 +194,11 @@ def cmd_mine(args: argparse.Namespace) -> int:
     stats: dict = {}
     timings: dict = {}
     with _stage(timings, "load_s"):
-        db = load_csv(args.input, schema, separator=args.separator, stats=stats)
+        db = _cli.load_csv(args.input, schema, separator=args.separator, stats=stats)
     with _stage(timings, "mine_s"):
-        frequent = mine_frequent(db, mining, workers=args.workers)
+        frequent = _cli.mine_frequent(db, mining, workers=args.workers)
     with _stage(timings, "rules_s"):
-        rules = generate_rules(frequent, rule_config)
+        rules = _cli.generate_rules(frequent, rule_config)
 
     staged = {
         key: out_dir / f".{name}.{os.getpid()}.tmp"
@@ -218,8 +207,8 @@ def cmd_mine(args: argparse.Namespace) -> int:
     }
     try:
         with _stage(timings, "write_s"):
-            write_itemsets(frequent, db.catalog, staged["itemsets"])
-            write_rules_csv(
+            _cli.write_itemsets(frequent, db.catalog, staged["itemsets"])
+            _cli.write_rules_csv(
                 rules, db.catalog, staged["rules_csv"], precision=args.precision
             )
             if "rules_json" in staged:
@@ -228,7 +217,7 @@ def cmd_mine(args: argparse.Namespace) -> int:
                     if schema is not None
                     else {}
                 )
-                write_rules_json(
+                _cli.write_rules_json(
                     rules,
                     db.catalog,
                     db.total,
@@ -313,12 +302,14 @@ def cmd_report(args: argparse.Namespace) -> int:
     _check_path("--input", args.input)
     path = args.input
     if path.endswith(".json"):
-        document = read_rules_json(path)
+        from .rules import CSV_COLUMNS, CSV_COLUMNS_EXTENDED, rule_rows
+        document = _cli.read_rules_json(path)
         extended = not args.base_layout
         header = CSV_COLUMNS_EXTENDED if extended else CSV_COLUMNS
         rules = document.rules[: args.top]
         rows = list(rule_rows(rules, document.catalog, args.precision, extended))
     else:
+        from .rules import report_rows_from_csv
         header, rows = report_rows_from_csv(path, args.precision)
     rows = rows[: args.top]
     widths = [max(map(len, column)) for column in zip(header, *rows)]
@@ -332,7 +323,7 @@ def cmd_predict(args: argparse.Namespace) -> int:
     if args.top is not None and args.top < 0:
         raise ConfigError("--top must be non-negative")
     _check_path("--input", args.input)
-    document = read_rules_json(args.input)
+    document = _cli.read_rules_json(args.input)
     catalog = document.catalog
 
     def label(column: str) -> str:
@@ -355,7 +346,7 @@ def cmd_predict(args: argparse.Namespace) -> int:
         (item for item, (column, _) in enumerate(catalog) if column == target),
         known_ids,
     )
-    predictions = predict(known_ids, rules, target, catalog)
+    predictions = _cli.predict(known_ids, rules, target, catalog)
     payload = {
         "target": target,
         "known": [catalog.render(i) for i in known_ids],
@@ -365,7 +356,7 @@ def cmd_predict(args: argparse.Namespace) -> int:
                 "item": catalog.render(p.item),
                 "confidence": p.confidence,
                 "support": p.support,
-                "rule": render_rule(p.rule, catalog),
+                "rule": _cli.render_rule(p.rule, catalog),
             }
             for p in predictions[: args.top]  # all of them when --top is None
         ],
@@ -375,6 +366,12 @@ def cmd_predict(args: argparse.Namespace) -> int:
     if not predictions:
         print(f"no rule matches the query (target {target!r})", file=sys.stderr)
     return 0
+
+
+def __getattr__(name: str) -> object:
+    """Bind an engine name from the package on first use, and keep it here."""
+    value = globals()[name] = getattr(sys.modules[__package__], name)
+    return value
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -16,6 +16,7 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+import rulemine
 from rulemine import IngestError, cli, load_transactions, rules
 
 
@@ -557,7 +558,30 @@ def test_argparse_usage_errors_exit_2(capsys):
     assert cli.main([]) == 2
     assert cli.main(["mine", "--nope"]) == 2
     assert cli.main(["mine", "--input", "x", "--ordering", "zigzag"]) == 2
+    assert cli.main(["mine", "--min-support", "abc"]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [
+        ("--ordering", "zigzag", "--ordering must be one of: confidence, default, support"),
+        ("--format", "yaml", "--format must be one of: csv, json"),
+    ],
+)
+def test_named_flag_value_fails_as_in_a_replay(
+    uniform_csv, tmp_path, capsys, flag, value, message
+):
+    # the manifest test above gives the same message for a replayed value
+    assert _mine(uniform_csv, tmp_path / "out", flag, value) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_mine_help_names_every_preset_and_ordering(capsys):
+    assert cli.main(["mine", "--help"]) == 0
+    text = capsys.readouterr().out
+    assert all(name in text for name in [*rulemine.SCHEMA_PRESETS, *rulemine.ORDERINGS])
 
 
 def test_version_flag(capsys):

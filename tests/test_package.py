@@ -113,3 +113,37 @@ assert cli.main(["predict", "--input", rules, "--known", "a=1", "--target", "b"]
     loaded = _modules_after(code, str(tmp_path))
     assert "rulemine.rules" in loaded and "rulemine.predictor" in loaded
     assert "rulemine.oracle" not in loaded
+
+
+# numpy and the modules that need it
+ENGINE = {"numpy", *(f"rulemine.{name}" for name in PUBLIC if name not in ("errors", "oracle"))}
+
+
+@pytest.mark.parametrize("argv", [["--version"], ["mine", "--help"]])
+def test_version_and_help_load_no_engine(argv):
+    code = f"from rulemine import cli\nassert cli.main({argv!r}) == 0"
+    loaded = _modules_after(code)
+    assert "rulemine.cli" in loaded
+    assert loaded.isdisjoint(ENGINE)
+
+
+def test_each_command_loads_only_what_it_runs(tmp_path):
+    (tmp_path / "table.csv").write_text("a,b\n1,1\n1,1\n1,2\n2,2\n", encoding="utf-8")
+    mine = """import sys
+from rulemine import cli
+root = sys.argv[1]
+argv = ["mine", "--input", f"{root}/table.csv", "--out-dir", f"{root}/out", "--format", "json"]
+assert cli.main(argv) == 0
+"""
+    loaded = _modules_after(mine, str(tmp_path))
+    assert {"rulemine.ingest", "rulemine.miner", "rulemine.rules"} <= loaded
+    assert "rulemine.predictor" not in loaded
+    queries = """import sys
+from rulemine import cli
+rules = f"{sys.argv[1]}/out/rules.json"
+assert cli.main(["report", "--input", rules]) == 0
+assert cli.main(["predict", "--input", rules, "--known", "a=1", "--target", "b"]) == 0
+"""
+    loaded = _modules_after(queries, str(tmp_path))
+    assert {"rulemine.rules", "rulemine.predictor"} <= loaded
+    assert "rulemine.ingest" not in loaded
