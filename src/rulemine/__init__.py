@@ -27,16 +27,17 @@ _HOMES = {
         "ingest": """CICY5_SCHEMA CICY6_SCHEMA SCHEMA_PRESETS SchemaConfig
             export_transactions generic_schema load_csv load_schema_file
             load_transactions resolve_schema""",
-        "miner": """FrequentSets Itemset MiningConfig candidate_gen
-            count_candidates meets_threshold min_count mine_frequent
+        "items": "ItemCatalog ItemId Itemset",
+        "miner": """FrequentSets MiningConfig candidate_gen count_candidates
+            generate_rules meets_threshold min_count mine_frequent
             write_itemsets""",
         "oracle": "ENUMERATION_BOUND brute_force_frequent brute_force_rules",
         "predictor": "Prediction predict",
         "rules": """ORDERINGS AssociationRule Metrics RuleConfig
-            RuleSetDocument compute_metrics generate_rules read_rules_json
-            render_rule render_side write_rules_csv write_rules_json""",
-        "txdb": """ItemCatalog ItemId Transaction TransactionDatabase
-            build_database build_database_from_columns""",
+            RuleSetDocument compute_metrics read_rules_json render_rule
+            render_side write_rules_csv write_rules_json""",
+        "txdb": """Transaction TransactionDatabase build_database
+            build_database_from_columns""",
     }.items()
     for name in names.split()
 }

@@ -369,8 +369,11 @@ def cmd_predict(args: argparse.Namespace) -> int:
 
 
 def __getattr__(name: str) -> object:
-    """Bind an engine name from the package on first use, and keep it here."""
-    value = globals()[name] = getattr(sys.modules[__package__], name)
+    """Bind a public name of the package on first use, and keep it here."""
+    package = sys.modules[__package__]
+    if name not in package._HOMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(package, name)
     return value
 
 

@@ -50,13 +50,8 @@ from typing import Iterable, Iterator, Sequence, TextIO
 import numpy as np
 
 from .errors import EmptyDatabaseError, IngestError, SchemaError, utf8_input
-from .txdb import (
-    TransactionDatabase,
-    _check_label,
-    build_database,
-    parse_int,
-    parse_item,
-)
+from .items import _check_label, parse_int, parse_item
+from .txdb import TransactionDatabase, build_database
 
 DEFAULT_MISSING_MARKERS = frozenset({"", "NA", "?"})
 MISSING_POLICIES = ("drop_row", "partial_row")

@@ -1,4 +1,4 @@
-"""Level-wise frequent itemset mining over the bitmap index.
+"""Level-wise frequent itemset mining over the bitmap index, and rule generation.
 
 The classical algorithm: level 1 keeps every item whose count reaches
 the support threshold; level k+1 candidates come from joining frequent
@@ -13,6 +13,11 @@ one chain and counts blocks of candidates with np.bitwise_count. Itemset
 records are built only for the rows that clear the threshold. Levels
 stay in lexicographic item-id order throughout, so output order is
 deterministic.
+
+generate_rules tests every split of every frequent itemset. It finds a
+block of rows' subsets among the smaller levels by the prune's own keys
+and lookup (_as_keys, _find), and the rules it keeps share the mined
+Itemsets as their sides.
 
 The rounding lives in exactly one place, _ceil_share, which min_count,
 meets_threshold, the rule generator and the brute-force oracle all go
@@ -37,17 +42,15 @@ import math
 import os
 from dataclasses import dataclass
 from threading import Thread
-from typing import Callable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import (
-    ConfigError,
-    EmptyDatabaseError,
-    FrequentSetError,
-    UnknownItemError,
-)
-from .txdb import ItemCatalog, ItemId, TransactionDatabase
+from .errors import ConfigError, EmptyDatabaseError, FrequentSetError, MetricError
+from .errors import UnknownItemError
+from .items import ItemCatalog, ItemId, Itemset, valid_threshold
+from .rules import ORDERINGS, AssociationRule, RuleConfig, _metrics
+from .txdb import TransactionDatabase
 
 EPS = 1e-9
 
@@ -67,11 +70,6 @@ def meets_threshold(count: int, base: int, threshold: float) -> bool:
     return count >= _ceil_share(threshold, base)
 
 
-def valid_threshold(value: object) -> bool:
-    """A number in (0, 1]; True is an int, but no threshold."""
-    return isinstance(value, (int, float)) and value is not True and 0 < value <= 1
-
-
 @dataclass(frozen=True)
 class MiningConfig:
     """min_support in (0, 1]; max_len caps itemset size (None = unlimited).
@@ -89,18 +87,6 @@ class MiningConfig:
             type(self.max_len) is not int or self.max_len < 1
         ):
             raise ConfigError("--max-len must be a positive integer")
-
-
-class Itemset(NamedTuple):
-    """A sorted, duplicate-free tuple of item ids plus its exact count.
-
-    count is None only on fresh candidates that have not been counted
-    yet. The empty itemset is representable (for rule generation) but is
-    never produced by mining.
-    """
-
-    items: tuple[ItemId, ...]
-    count: int | None = None
 
 
 @dataclass(frozen=True)
@@ -383,6 +369,80 @@ def mine_frequent(
         kept = counted.counts >= threshold
         level, counts = candidates[kept], counted.counts[kept]
     return FrequentSets(tuple(levels), db.total)
+
+
+def generate_rules(
+    frequent: FrequentSets, config: RuleConfig
+) -> list[AssociationRule]:
+    """Emit every strong bipartition of every frequent itemset.
+
+    Z = X | Y (Y non-empty; X = {} only if include_empty_lhs, Y one item
+    if singleton_rhs) gives X => Y iff N(Z) >= _ceil_share(min_confidence,
+    N(X)), meets_threshold's bound, computed once per distinct count. The
+    splits of a block of a level's rows are tested at once: the j-subsets
+    are gathered by one table of positions and found by searchsorted over
+    the j-itemsets' keys by _find. Sides are the mined Itemsets. rows(k)
+    checks every level first, raising FrequentSetError; then so does the
+    first missing subset in level, row and split order (LHS size, then
+    positions), and MetricError the first subset counted below its
+    itemset or kept rule with a side of count 0.
+    """
+    total = frequent.total
+    levels = [frequent.rows(k) for k in range(len(frequent.levels))]
+    every = [Itemset((), total), *frequent]  # the empty set, then level order
+    counts = [total, *itertools.chain.from_iterable(c for _, c in levels)]
+    # -1 pads the counts for missing subsets; past 2**62 they stay Python ints
+    counts = np.array(counts + [-1], np.int64 if total < 1 << 62 else object)
+    distinct, inverse = np.unique(counts, return_inverse=True)
+    shares = [_ceil_share(config.min_confidence, n) for n in distinct.tolist()]
+    needed = np.array(shares, counts.dtype)[inverse]
+    starts = np.cumsum([1, *(len(c) for _, c in levels)]).tolist()
+    keys, out = [None], []
+    for k, (rows, _) in enumerate(levels[1:], start=1):
+        keys.append(_as_keys(rows))
+        # subsets by size, then lexicographic: column i's complement is full - i
+        by_size = [list(itertools.combinations(range(k), j)) for j in range(k + 1)]
+        subsets, full = sum(by_size, []), (1 << k) - 1
+        smallest_lhs = max((k - 1) * config.singleton_rhs, 1 - config.include_empty_lhs)
+        tested = slice(sum(map(len, by_size[:smallest_lhs])), full)  # LHS columns
+        # found takes 2**k intps a row, the ids of one size a few times that
+        per_block = max(1, BLOCK_BYTES // (8 << k))
+        for first in range(starts[k], starts[k + 1], per_block):
+            block = rows[first - starts[k] :][:per_block].astype(">u4")  # as _as_keys
+            found = [np.zeros((len(block), 1), np.intp)]  # into every, -1 if missing
+            for j in range(1, k):
+                wanted = _as_keys(block[:, by_size[j]].reshape(-1, j))
+                at = _find(keys[j], wanted).reshape(len(block), -1)
+                found.append(np.add(at, starts[j], out=at, where=at >= 0))  # -1 stays
+            found = np.hstack([*found, np.arange(first, first + len(block))[:, None]])
+            lhs = counts[found]
+            joint = lhs[:, full:]
+            if (lhs < joint).any():
+                row, column = divmod(int((lhs < joint).argmax()), full + 1)
+                items = every[first + row].items
+                subset = tuple(items[p] for p in subsets[column])
+                if found[row, column] < 0:
+                    raise FrequentSetError(
+                        f"frequent sets are not downward closed: missing subset "
+                        f"{subset} of itemset {items}"
+                    )
+                raise MetricError(
+                    f"counts must satisfy joint_count <= lhs_count: itemset {items} "
+                    f"({joint[row, 0]}), subset {subset} ({lhs[row, column]})"
+                )
+            kept_rows, kept = np.nonzero(joint >= needed[found[:, tested]])
+            sides = full, kept + tested.start, full - tested.start - kept
+            for z, x, y in zip(*(found[kept_rows, c].tolist() for c in sides)):
+                (items, count), lhs_side, rhs_side = every[z], every[x], every[y]
+                if not lhs_side.count or not rhs_side.count:  # so count is 0 too
+                    raise MetricError(
+                        f"counts must satisfy lhs_count, rhs_count >= 1: "
+                        f"itemset {items}"
+                    )
+                metrics = _metrics(lhs_side.count, rhs_side.count, count, total)
+                out.append(AssociationRule(lhs_side, rhs_side, count, *metrics))
+    out.sort(key=ORDERINGS[config.ordering])
+    return out
 
 
 def write_itemsets(

@@ -17,7 +17,8 @@ from __future__ import annotations
 import itertools
 
 from .errors import OracleBoundError
-from .miner import FrequentSets, Itemset, MiningConfig, meets_threshold, min_count
+from .items import Itemset
+from .miner import FrequentSets, MiningConfig, meets_threshold, min_count
 from .rules import ORDERINGS, AssociationRule, RuleConfig, compute_metrics
 from .txdb import TransactionDatabase
 

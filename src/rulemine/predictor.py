@@ -17,8 +17,8 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .errors import PredictionError
+from .items import ItemCatalog, ItemId
 from .rules import AssociationRule
-from .txdb import ItemCatalog, ItemId
 
 
 @dataclass(frozen=True)

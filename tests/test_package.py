@@ -4,6 +4,7 @@ it loads."""
 from __future__ import annotations
 
 import importlib
+import importlib.util
 import inspect
 import json
 import os
@@ -14,6 +15,7 @@ from pathlib import Path
 import pytest
 
 import rulemine
+from rulemine import cli
 
 # Every public name, by the module that defines it.
 PUBLIC = {
@@ -27,21 +29,22 @@ PUBLIC = {
         "export_transactions", "generic_schema", "load_csv", "load_schema_file",
         "load_transactions", "resolve_schema",
     ),
+    "items": ("ItemCatalog", "ItemId", "Itemset"),
     "miner": (
-        "FrequentSets", "Itemset", "MiningConfig", "candidate_gen",
-        "count_candidates", "meets_threshold", "min_count", "mine_frequent",
+        "FrequentSets", "MiningConfig", "candidate_gen", "count_candidates",
+        "generate_rules", "meets_threshold", "min_count", "mine_frequent",
         "write_itemsets",
     ),
     "oracle": ("ENUMERATION_BOUND", "brute_force_frequent", "brute_force_rules"),
     "predictor": ("Prediction", "predict"),
     "rules": (
         "ORDERINGS", "AssociationRule", "Metrics", "RuleConfig", "RuleSetDocument",
-        "compute_metrics", "generate_rules", "read_rules_json", "render_rule",
-        "render_side", "write_rules_csv", "write_rules_json",
+        "compute_metrics", "read_rules_json", "render_rule", "render_side",
+        "write_rules_csv", "write_rules_json",
     ),
     "txdb": (
-        "ItemCatalog", "ItemId", "Transaction", "TransactionDatabase",
-        "build_database", "build_database_from_columns",
+        "Transaction", "TransactionDatabase", "build_database",
+        "build_database_from_columns",
     ),
 }  # fmt: skip
 NAMES = {name for names in PUBLIC.values() for name in names}
@@ -136,7 +139,7 @@ argv = ["mine", "--input", f"{root}/table.csv", "--out-dir", f"{root}/out", "--f
 assert cli.main(argv) == 0
 """
     loaded = _modules_after(mine, str(tmp_path))
-    assert {"rulemine.ingest", "rulemine.miner", "rulemine.rules"} <= loaded
+    assert {"rulemine.ingest", "rulemine.items", "rulemine.miner", "rulemine.rules"} <= loaded
     assert "rulemine.predictor" not in loaded
     queries = """import sys
 from rulemine import cli
@@ -146,4 +149,50 @@ assert cli.main(["predict", "--input", rules, "--known", "a=1", "--target", "b"]
 """
     loaded = _modules_after(queries, str(tmp_path))
     assert {"rulemine.rules", "rulemine.predictor"} <= loaded
-    assert "rulemine.ingest" not in loaded
+    assert loaded.isdisjoint({"numpy", "rulemine.ingest", "rulemine.miner", "rulemine.txdb"})
+
+
+def test_rules_and_predictor_import_no_numpy():
+    loaded = _modules_after("import rulemine.rules, rulemine.predictor")
+    assert {"rulemine.items", "rulemine.rules", "rulemine.predictor"} <= loaded
+    assert "numpy" not in loaded
+
+
+def test_queries_run_with_numpy_blocked(tmp_path):
+    (tmp_path / "table.csv").write_text("a,b\n1,1\n1,1\n1,2\n2,2\n", encoding="utf-8")
+    out = tmp_path / "out"
+    argv = ["mine", "--input", str(tmp_path / "table.csv"), "--out-dir", str(out)]
+    assert cli.main([*argv, "--format", "json"]) == 0
+    # with numpy None in sys.modules, any import of it raises ImportError
+    code = """import contextlib, io, sys
+sys.modules["numpy"] = None
+from rulemine import cli
+out = sys.argv[1]
+queries = [
+    (["report", "--input", f"{out}/rules.json"], 0),
+    (["report", "--input", f"{out}/rules.csv"], 0),
+    (["predict", "--input", f"{out}/rules.json", "--known", "a=1", "--target", "b"], 0),
+    (["report", "--input", f"{out}/missing.json"], 1),
+]
+for argv, code in queries:
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        assert cli.main(argv) == code, argv
+"""
+    loaded = _modules_after(code, str(out))
+    assert {"rulemine.rules", "rulemine.predictor"} <= loaded
+
+
+def test_cli_forwards_only_public_names():
+    assert not hasattr(cli, "__path__")
+    with pytest.raises(ModuleNotFoundError):
+        importlib.util.find_spec("rulemine.cli.ingest")
+    message = "^module 'rulemine.cli' has no attribute 'no_such_name'$"
+    with pytest.raises(AttributeError, match=message):
+        cli.no_such_name
+    assert cli.load_csv is rulemine.load_csv
+
+
+def test_cli_star_import_loads_no_numpy():
+    loaded = _modules_after("from rulemine.cli import *\nassert 'load_csv' not in dir()")
+    assert "rulemine.cli" in loaded
+    assert loaded.isdisjoint(ENGINE)

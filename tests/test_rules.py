@@ -962,7 +962,7 @@ def _frequent(total, *levels):
 )
 def test_rules_name_the_first_fault(monkeypatch, block_bytes, frequent, config, error, match):
     if block_bytes is not None:
-        monkeypatch.setattr(rules_module, "BLOCK_BYTES", block_bytes)
+        monkeypatch.setattr("rulemine.miner.BLOCK_BYTES", block_bytes)
     with pytest.raises(error, match=match):
         generate_rules(frequent, config)
 
@@ -1058,7 +1058,7 @@ def test_rules_do_not_depend_on_the_block_size(monkeypatch, block_bytes, config)
     assert frequent.max_size == 8
     expected = generate_rules(frequent, config)
     assert len(expected) > 1000
-    monkeypatch.setattr(rules_module, "BLOCK_BYTES", block_bytes)
+    monkeypatch.setattr("rulemine.miner.BLOCK_BYTES", block_bytes)
     assert generate_rules(frequent, config) == expected
 
 

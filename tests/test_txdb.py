@@ -19,7 +19,7 @@ from rulemine import (
     build_database,
     build_database_from_columns,
 )
-from rulemine.txdb import parse_int, parse_item
+from rulemine.items import parse_int, parse_item
 
 
 def test_build_interns_distinct_pairs():
